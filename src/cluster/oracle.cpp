@@ -77,7 +77,8 @@ const core::TopAlignment& AlignmentOracle::accept(int r, align::Score expected) 
     return top;
   }
   core::TopAlignment top =
-      core::accept_alignment(s_, scoring_, triangle_, rows_, r, expected);
+      core::accept_alignment(s_, scoring_, triangle_, rows_.row(r), r,
+                             expected);
   accepted_.push_back(std::move(top));
   ++version_;
   return accepted_.back();

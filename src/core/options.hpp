@@ -67,7 +67,7 @@ struct FinderStats {
   std::uint64_t realignments = 0;      ///< demanded re-alignments (stale member)
   std::uint64_t speculative = 0;       ///< lane-mates recomputed while current
   std::uint64_t tracebacks = 0;        ///< accepted top alignments traced
-  std::uint64_t queue_pops = 0;
+  std::uint64_t queue_pops = 0;        ///< groups popped to sweep or accept
   std::uint64_t cells = 0;             ///< matrix lane-cells computed
   // Checkpoint-resume realignment cache (zero when disabled/unsupported):
   std::uint64_t ckpt_hits = 0;        ///< sweeps resumed from a checkpoint
@@ -81,13 +81,13 @@ struct FinderStats {
   std::uint64_t i16_sweeps = 0;            ///< group sweeps run in i16 lanes
   std::uint64_t precision_escalations = 0; ///< u8 sweeps re-run at i16
   std::uint64_t profile_hits = 0;          ///< sweeps reusing a cached profile
-  /// Wall time inside realignment-phase sweeps (version > 0); the parallel
-  /// finder sums it across threads like idle_seconds.
+  /// Wall time inside realignment-phase sweeps (version > 0), summed over
+  /// workers like idle_seconds.
   double realign_seconds = 0.0;
   double seconds = 0.0;
-  /// Wall time worker threads spent parked on the scheduler's condition
-  /// variable, summed over threads (shared-memory finder only; the paper's
-  /// §5.1 speculation exists precisely to shrink this).
+  /// Wall time workers spent parked on the scheduler's condition variable,
+  /// summed over workers (zero with one worker; the paper's §5.1
+  /// speculation exists precisely to shrink this).
   double idle_seconds = 0.0;
 };
 

@@ -1,11 +1,18 @@
 #include "core/top_alignment_finder.hpp"
 
 #include <algorithm>
+#include <condition_variable>
+#include <exception>
 #include <limits>
+#include <mutex>
 #include <optional>
+#include <set>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "align/bottom_row_store.hpp"
 #include "align/checkpoint_cache.hpp"
 #include "align/linear_traceback.hpp"
 #include "align/traceback.hpp"
@@ -17,440 +24,23 @@
 namespace repro::core {
 namespace {
 
-/// Shared per-run state and the group realignment step (used by both rescan
-/// policies).
-class SequentialRun {
- public:
-  SequentialRun(const seq::Sequence& s, const seq::Scoring& scoring,
-                const FinderOptions& options, align::Engine& engine)
-      : s_(s),
-        scoring_(scoring),
-        options_(options),
-        engine_(engine),
-        m_(s.length()),
-        triangle_(m_),
-        groups_(make_groups(m_, engine.lanes())) {
-    REPRO_CHECK_MSG(m_ >= 2, "sequence too short for top alignments");
-    REPRO_CHECK(options.min_score >= 1);
-    if (options.memory == MemoryMode::kArchiveRows)
-      rows_.emplace(m_);  // otherwise: Appendix-A linear-memory mode
-    REPRO_CHECK_MSG(&scoring.matrix.alphabet() == &s.alphabet(),
-                    "scoring matrix alphabet does not match the sequence");
-    out_rows_.resize(static_cast<std::size_t>(engine.lanes()));
-    plain_rows_.resize(static_cast<std::size_t>(engine.lanes()));
-    if (options.checkpoint_mem > 0 && engine.supports_checkpoints())
-      cache_.emplace(options.checkpoint_mem);
-  }
-
-  FinderResult run() {
-    obs::ScopedSpan span(obs::Registry::global(), "finder.run");
-    util::WallTimer timer;
-    const std::uint64_t cells0 = engine_.cells_computed();
-    const align::PrecisionStats prec0 = engine_.precision_stats();
-    if (options_.policy == RescanPolicy::kBestFirst) {
-      run_best_first();
-    } else {
-      run_exhaustive();
-    }
-    result_.stats.cells = engine_.cells_computed() - cells0;
-    // Engines may be reused across runs (their query profile persists by
-    // design); report this run's precision activity as a delta.
-    const align::PrecisionStats prec = engine_.precision_stats();
-    result_.stats.i8_sweeps = prec.i8_sweeps - prec0.i8_sweeps;
-    result_.stats.i16_sweeps = prec.i16_sweeps - prec0.i16_sweeps;
-    result_.stats.precision_escalations = prec.escalations - prec0.escalations;
-    result_.stats.profile_hits = prec.profile_hits - prec0.profile_hits;
-    result_.stats.seconds = timer.seconds();
-    if (cache_) {
-      const align::CheckpointCacheStats& cs = cache_->stats();
-      result_.stats.ckpt_hits = cs.hits;
-      result_.stats.ckpt_misses = cs.misses;
-      result_.stats.ckpt_evictions = cs.evictions;
-    }
-    publish_finder_stats(result_.stats, m_, "finder.");
-    return std::move(result_);
-  }
-
- private:
-  int version() const { return static_cast<int>(result_.tops.size()); }
-
-  bool incremental() const { return options_.checkpoint_mem > 0; }
-
-  int ckpt_stride(int rows) const {
-    const int c = std::max(1, options_.checkpoints_per_sweep);
-    return std::max(1, (rows + c - 1) / c);
-  }
-
-  /// Deepest plain-checkpoint row still usable by an *overridden* sweep of
-  /// the group at r0: no accepted pair reaches rows at or above it.
-  int plain_valid_limit(int r0) const {
-    const int md = all_dirty_.min_dirty_row(r0);
-    return md == align::PairDirtyIndex::kNoDirtyRow
-               ? std::numeric_limits<int>::max()
-               : md - 1;
-  }
-
-  /// True when no pair accepted since a stale member's version intersects
-  /// its rectangle — row and score are then provably unchanged.
-  bool group_untouched(const GroupTask& g) const {
-    for (int k = 0; k < g.count; ++k) {
-      const int v = g.version[static_cast<std::size_t>(k)];
-      if (v == version()) continue;
-      if (v < 0) return false;
-      const int r = g.r0 + k;
-      for (int t = v; t < version(); ++t)
-        if (dirty_[static_cast<std::size_t>(t)].min_dirty_row(r) <= r)
-          return false;
-    }
-    return true;
-  }
-
-  /// Wires checkpoint resume/emission into a sweep job; returns the number
-  /// of DP rows the sweep will restore instead of computing. `lookup` is off
-  /// for first alignments (nothing can be cached yet, and counting them as
-  /// misses would dilute the hit rate).
-  int attach_checkpoints(align::GroupJob& job, align::CheckpointSink& sink,
-                         align::CheckpointView& view, int rows,
-                         bool plain_sweep, bool lookup) {
-    if (!cache_) return 0;
-    int resumed = 0;
-    if (lookup) {
-      const auto found =
-          cache_->find(job.r0, plain_sweep,
-                       plain_sweep ? 0 : plain_valid_limit(job.r0));
-      if (found) {
-        view = *found;
-        job.resume = &view;
-        resumed = view.row;
-        // Checkpoint-resume consistency: a resume point must lie strictly
-        // inside the group's row range (the kernel re-enters at row + 1).
-        REPRO_DCHECK(view.row >= 1 && view.row < job.r0);
-      }
-    }
-    sink.stride = ckpt_stride(rows);
-    sink.top_row = job.r0 - 1;
-    job.sink = &sink;
-    return resumed;
-  }
-
-  /// (Re)aligns every member of a group against the current triangle and
-  /// refreshes the member scores (shadow-rejected bottom-row maxima).
-  void realign_group(GroupTask& g) {
-    FinderStats& st = result_.stats;
-    const bool is_realign = version() > 0;
-    const int rows_g = g.r0 + g.count - 1;
-
-    // Low-memory fast path: when every stale member's rectangle is untouched
-    // by the pairs accepted since its version, both the overridden sweep and
-    // the paired empty-triangle recompute are provably no-ops — bump the
-    // versions without computing anything.
-    if (incremental() && !rows_.has_value() && is_realign &&
-        group_untouched(g)) {
-      for (int k = 0; k < g.count; ++k) {
-        auto& v = g.version[static_cast<std::size_t>(k)];
-        if (v != version()) {
-          v = version();
-          ++st.skipped_realignments;
-        }
-      }
-      return;
-    }
-
-    align::GroupJob job;
-    job.seq = s_.codes();
-    job.scoring = &scoring_;
-    job.overrides = version() == 0 ? nullptr : &triangle_;
-    job.r0 = g.r0;
-    job.count = g.count;
-    outs_.resize(static_cast<std::size_t>(g.count));
-    for (int k = 0; k < g.count; ++k) {
-      out_rows_[static_cast<std::size_t>(k)].resize(
-          static_cast<std::size_t>(m_ - (g.r0 + k)));
-      outs_[static_cast<std::size_t>(k)] = out_rows_[static_cast<std::size_t>(k)];
-    }
-    // A version-0 sweep runs under the empty triangle and is cached as a
-    // plain sweep; overridden checkpoints stay valid via invalidation.
-    const int resumed = attach_checkpoints(job, sink_, resume_view_, rows_g,
-                                           /*plain_sweep=*/version() == 0,
-                                           /*lookup=*/is_realign);
-    util::WallTimer sweep_timer;
-    engine_.align(job, outs_);
-
-    // Low-memory mode: no archive — recompute the empty-triangle originals
-    // with one extra group alignment (only realignments pay this).
-    const bool recompute = !rows_.has_value() && is_realign;
-    int plain_resumed = 0;
-    if (recompute) {
-      align::GroupJob plain = job;
-      plain.overrides = nullptr;
-      plain.resume = nullptr;
-      plain.sink = nullptr;
-      plain_outs_.resize(static_cast<std::size_t>(g.count));
-      for (int k = 0; k < g.count; ++k) {
-        plain_rows_[static_cast<std::size_t>(k)].resize(
-            static_cast<std::size_t>(m_ - (g.r0 + k)));
-        plain_outs_[static_cast<std::size_t>(k)] =
-            plain_rows_[static_cast<std::size_t>(k)];
-      }
-      plain_resumed =
-          attach_checkpoints(plain, plain_sink_, plain_resume_view_, rows_g,
-                             /*plain_sweep=*/true, /*lookup=*/true);
-      engine_.align(plain, plain_outs_);
-    }
-    if (is_realign) {
-      st.realign_seconds += sweep_timer.seconds();
-      st.rows_swept += static_cast<std::uint64_t>(rows_g);
-      st.rows_skipped += static_cast<std::uint64_t>(resumed);
-      if (recompute) {
-        st.rows_swept += static_cast<std::uint64_t>(rows_g);
-        st.rows_skipped += static_cast<std::uint64_t>(plain_resumed);
-      }
-    }
-
-    for (int k = 0; k < g.count; ++k) {
-      const int r = g.r0 + k;
-      auto& row = out_rows_[static_cast<std::size_t>(k)];
-      if (g.version[static_cast<std::size_t>(k)] == -1) {
-        // Every rectangle is first-aligned while all queue keys are still
-        // infinite, i.e. before any acceptance; the archived bottom rows are
-        // therefore always empty-triangle originals.
-        REPRO_CHECK(version() == 0);
-        if (rows_.has_value()) rows_->store(r, row);
-        ++st.first_alignments;
-        g.score[static_cast<std::size_t>(k)] = align::find_best_end(row).score;
-      } else {
-        const align::Score old_score = g.score[static_cast<std::size_t>(k)];
-        const bool was_current =
-            g.version[static_cast<std::size_t>(k)] == version();
-        if (was_current) {
-          ++st.speculative;  // lane-mate recomputed although already current
-        } else {
-          ++st.realignments;
-        }
-        g.score[static_cast<std::size_t>(k)] =
-            rows_.has_value()
-                ? align::find_best_end(row, rows_->row(r)).score
-                : align::find_best_end(
-                      row, std::span<const align::Score>(
-                               plain_rows_[static_cast<std::size_t>(k)]))
-                      .score;
-        if constexpr (check::kContractsEnabled) {
-          // Upper-bound property (Fig. 5): the triangle only removes
-          // scoring mass, so a realignment against a grown triangle can
-          // never raise a member's score — and recomputing an up-to-date
-          // member (same triangle, same shadow row) is deterministic.
-          if (was_current) {
-            REPRO_DCHECK_MSG(
-                g.score[static_cast<std::size_t>(k)] == old_score,
-                "speculative recompute changed r=" << r << " from "
-                    << old_score << " to "
-                    << g.score[static_cast<std::size_t>(k)]);
-          } else {
-            REPRO_DCHECK_MSG(
-                g.score[static_cast<std::size_t>(k)] <= old_score,
-                "realignment raised r=" << r << " from " << old_score
-                    << " to " << g.score[static_cast<std::size_t>(k)]
-                    << " — upper-bound property violated");
-          }
-        }
-      }
-      g.version[static_cast<std::size_t>(k)] = version();
-    }
-
-    if (cache_) {
-      const align::Score priority =
-          *std::max_element(g.score.begin(), g.score.end());
-      cache_->store(g.r0, /*plain_class=*/version() == 0, priority, sink_);
-      if (recompute)
-        cache_->store(g.r0, /*plain_class=*/true, priority, plain_sink_);
-    }
-  }
-
-  void accept(GroupTask& g, int member) {
-    const int r = g.r0 + member;
-    const align::Score expected = g.score[static_cast<std::size_t>(member)];
-    if (options_.traceback == TracebackMode::kLinearSpace) {
-      accept_linear(r, expected);
-    } else if (rows_.has_value()) {
-      result_.tops.push_back(
-          accept_alignment(s_, scoring_, triangle_, *rows_, r, expected));
-    } else {
-      // Recompute the original row for the shadow check of the traceback.
-      // Empty-triangle sweeps resume from (and refresh) plain checkpoints.
-      align::GroupJob plain;
-      plain.seq = s_.codes();
-      plain.scoring = &scoring_;
-      plain.r0 = r;
-      plain.count = 1;
-      attach_checkpoints(plain, plain_sink_, plain_resume_view_, r,
-                         /*plain_sweep=*/true, /*lookup=*/true);
-      const std::vector<align::Score> original = engine_.align_one(plain);
-      if (cache_) cache_->store(r, /*plain_class=*/true, expected, plain_sink_);
-      result_.tops.push_back(accept_alignment(s_, scoring_, triangle_,
-                                              original, r, expected));
-    }
-    ++result_.stats.tracebacks;
-    record_acceptance();
-  }
-
-  /// Acceptance via the O(rows+cols)-memory traceback (TracebackMode::
-  /// kLinearSpace); shares the shadow-rejection reference with accept().
-  void accept_linear(int r, align::Score expected) {
-    align::GroupJob job;
-    job.seq = s_.codes();
-    job.scoring = &scoring_;
-    job.overrides = &triangle_;
-    job.r0 = r;
-    job.count = 1;
-    align::Traceback tb;
-    if (rows_.has_value()) {
-      tb = align::traceback_best_linear(job, rows_->row(r));
-    } else {
-      align::GroupJob plain = job;
-      plain.overrides = nullptr;
-      attach_checkpoints(plain, plain_sink_, plain_resume_view_, r,
-                         /*plain_sweep=*/true, /*lookup=*/true);
-      const std::vector<align::Score> original = engine_.align_one(plain);
-      if (cache_) cache_->store(r, /*plain_class=*/true, expected, plain_sink_);
-      tb = align::traceback_best_linear(
-          job, std::span<const align::Score>(original));
-    }
-    REPRO_CHECK(tb.score == expected);
-    for (const auto& [i, j] : tb.pairs) triangle_.set(i, j);
-    TopAlignment top;
-    top.r = r;
-    top.score = tb.score;
-    top.end_x = tb.end_x;
-    top.pairs = std::move(tb.pairs);
-    result_.tops.push_back(std::move(top));
-  }
-
-  /// Indexes the just-accepted alignment's pairs and invalidates checkpoints
-  /// the new override bits can reach.
-  void record_acceptance() {
-    if constexpr (check::kContractsEnabled) {
-      REPRO_DCHECK(!result_.tops.empty());
-      const std::size_t n = result_.tops.size();
-      // Acceptance order (§2.2): scores never increase down the top list.
-      REPRO_DCHECK_MSG(
-          n < 2 || result_.tops[n - 1].score <= result_.tops[n - 2].score,
-          "acceptance " << n - 1 << " (score "
-                        << result_.tops[n - 1].score
-                        << ") outranks its predecessor (score "
-                        << result_.tops[n - 2].score << ")");
-      // Triangle monotone growth: every accepted pair is now overridden.
-      for (const auto& [i, j] : result_.tops.back().pairs)
-        REPRO_DCHECK(triangle_.contains(i, j));
-    }
-    if (!incremental()) return;
-    const TopAlignment& top = result_.tops.back();
-    const std::span<const std::pair<int, int>> pairs(top.pairs);
-    dirty_.emplace_back(pairs);
-    all_pairs_.insert(all_pairs_.end(), top.pairs.begin(), top.pairs.end());
-    all_dirty_ = align::PairDirtyIndex(
-        std::span<const std::pair<int, int>>(all_pairs_));
-    if (cache_) cache_->invalidate(dirty_.back());
-  }
-
-  void run_best_first() {
-    GroupQueue queue;
-    for (std::size_t gi = 0; gi < groups_.size(); ++gi)
-      queue.push(static_cast<int>(gi), groups_[gi].key());
-
-    while (static_cast<int>(result_.tops.size()) < options_.num_top_alignments) {
-      const auto gi = queue.pop_best();
-      if (!gi) break;
-      GroupTask& g = groups_[static_cast<std::size_t>(*gi)];
-      ++result_.stats.queue_pops;
-      const int b = g.best_member();
-      if (g.version[static_cast<std::size_t>(b)] == version()) {
-        if (g.score[static_cast<std::size_t>(b)] < options_.min_score) {
-          queue.push(*gi, g.key());
-          break;  // nothing left can reach min_score: all bounds are lower
-        }
-        accept(g, b);
-      } else {
-        realign_group(g);
-      }
-      queue.push(*gi, g.key());
-    }
-
-    if constexpr (obs::kEnabled) {
-      auto& reg = obs::Registry::global();
-      reg.counter("finder.queue.pushes").add(queue.pushes());
-      reg.counter("finder.queue.pops").add(queue.pops());
-      reg.counter("finder.queue.stale_skips").add(queue.stale_skips());
-    }
-  }
-
-  void run_exhaustive() {
-    while (static_cast<int>(result_.tops.size()) < options_.num_top_alignments) {
-      // Old-style schedule: bring every rectangle up to date, then accept
-      // the global best. Produces the same tops as best-first.
-      for (auto& g : groups_) {
-        bool stale = false;
-        for (int k = 0; k < g.count; ++k)
-          stale |= g.version[static_cast<std::size_t>(k)] != version();
-        if (stale) realign_group(g);
-      }
-      int best_gi = -1;
-      TaskKey best_key;
-      for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-        const TaskKey k = groups_[gi].key();
-        if (best_gi < 0 || k.before(best_key)) {
-          best_gi = static_cast<int>(gi);
-          best_key = k;
-        }
-      }
-      REPRO_CHECK(best_gi >= 0);
-      if (best_key.score < options_.min_score) break;
-      GroupTask& g = groups_[static_cast<std::size_t>(best_gi)];
-      accept(g, g.best_member());
-    }
-  }
-
-  const seq::Sequence& s_;
-  const seq::Scoring& scoring_;
-  const FinderOptions& options_;
-  align::Engine& engine_;
-  int m_;
-  align::OverrideTriangle triangle_;
-  std::optional<align::BottomRowStore> rows_;
-  std::vector<GroupTask> groups_;
-  std::vector<std::vector<align::Score>> out_rows_;
-  std::vector<std::vector<align::Score>> plain_rows_;
-  std::vector<std::span<align::Score>> outs_;        ///< reused across sweeps
-  std::vector<std::span<align::Score>> plain_outs_;  ///< reused across sweeps
-  // Checkpoint-resume state: one dirty index per acceptance (low-memory
-  // untouched-lane skip), the cumulative index (plain-entry validity), and
-  // reusable sinks/views so warm realignments allocate nothing.
-  std::optional<align::CheckpointCache> cache_;
-  std::vector<align::PairDirtyIndex> dirty_;
-  std::vector<std::pair<int, int>> all_pairs_;
-  align::PairDirtyIndex all_dirty_;
-  align::CheckpointSink sink_;
-  align::CheckpointSink plain_sink_;
-  align::CheckpointView resume_view_;
-  align::CheckpointView plain_resume_view_;
-  FinderResult result_;
-};
-
-}  // namespace
-
-namespace {
-
+/// The shared acceptance step: traces rectangle r back under `triangle`
+/// (full-matrix or linear-space), verifies the traced score equals the
+/// queued `expected`, marks the alignment's pairs and returns it.
 template <typename T>
 TopAlignment accept_with_row(const seq::Sequence& s, const seq::Scoring& scoring,
                              align::OverrideTriangle& triangle,
                              std::span<const T> original_row, int r,
-                             align::Score expected) {
+                             align::Score expected, TracebackMode mode) {
   align::GroupJob job;
   job.seq = s.codes();
   job.scoring = &scoring;
   job.overrides = &triangle;
   job.r0 = r;
   job.count = 1;
-  align::Traceback tb = align::traceback_best(job, original_row);
+  align::Traceback tb = mode == TracebackMode::kLinearSpace
+                            ? align::traceback_best_linear(job, original_row)
+                            : align::traceback_best(job, original_row);
   REPRO_CHECK_MSG(tb.score == expected,
                   "acceptance score mismatch at r=" << r << ": queued "
                                                     << expected << ", traced "
@@ -464,30 +54,580 @@ TopAlignment accept_with_row(const seq::Sequence& s, const seq::Scoring& scoring
   return top;
 }
 
+/// Orders in-flight bounds like the queue: higher score, then smaller split.
+struct KeyOrder {
+  bool operator()(const TaskKey& a, const TaskKey& b) const {
+    return a.before(b);
+  }
+};
+
+/// One worker's private state. Its checkpoint cache partition
+/// (checkpoint_mem / workers) is touched only from the worker's own thread;
+/// invalidations are replayed from the shared dirty list under the run lock
+/// (`synced` is the replay cursor). Sinks, views and output rows are hoisted
+/// here so steady-state realignments allocate nothing; the `plain_` ones
+/// serve the empty-triangle sweeps of MemoryMode::kRecomputeRows.
+struct Worker {
+  explicit Worker(align::Engine& e)
+      : engine(e), cells0(e.cells_computed()), prec0(e.precision_stats()) {}
+
+  align::Engine& engine;
+  // Engines may be reused across runs (their query profile persists by
+  // design); stats report this run's activity as a delta from these.
+  std::uint64_t cells0;
+  align::PrecisionStats prec0;
+  std::optional<align::CheckpointCache> cache;
+  int synced = 0;  ///< shared dirty entries already applied to `cache`
+  align::CheckpointSink sink;
+  align::CheckpointSink plain_sink;
+  align::CheckpointView view;
+  align::CheckpointView plain_view;
+  std::vector<std::vector<align::Score>> rows;
+  std::vector<std::vector<align::Score>> plain_rows;
+  std::vector<std::span<align::Score>> outs;
+  std::vector<std::span<align::Score>> plain_outs;
+  double idle = 0.0;  ///< wall time parked on the condition variable
+};
+
+/// The best-first scheduler (§3, Fig. 5) run by one or more workers (§4.2).
+///
+/// Each idle worker takes the best group due for a sweep from the shared
+/// queue, realigns it with its private engine and requeues it. A top
+/// alignment is accepted when the queue head is up to date and no in-flight
+/// realignment holds an upper bound ordering before it (scores only decrease
+/// under a grown triangle, so such a task might still beat the head); under
+/// RescanPolicy::kExhaustiveSweep acceptance also waits until no group has a
+/// stale member. The accepted tops are therefore identical for every worker
+/// count, and with one worker the loop is exactly the sequential algorithm.
+/// Realignments that overlap an acceptance are kept: their results are upper
+/// bounds for the grown triangle and are simply requeued.
+///
+/// One mutex guards everything except the override triangle (atomic bits;
+/// the accepting worker is its only writer), the bottom-row archive (first
+/// alignments write disjoint rows before any acceptance), and each worker's
+/// engine and cache.
+class Scheduler {
+ public:
+  Scheduler(const seq::Sequence& s, const seq::Scoring& scoring,
+            const FinderOptions& options,
+            std::span<align::Engine* const> engines)
+      : s_(s),
+        scoring_(scoring),
+        options_(options),
+        m_(s.length()),
+        triangle_(m_),
+        done_(options.num_top_alignments <= 0) {
+    REPRO_CHECK_MSG(m_ >= 2, "sequence too short for top alignments");
+    REPRO_CHECK(options.min_score >= 1);
+    REPRO_CHECK_MSG(&scoring.matrix.alphabet() == &s.alphabet(),
+                    "scoring matrix alphabet does not match the sequence");
+    REPRO_CHECK(!engines.empty());
+    if (options.memory == MemoryMode::kArchiveRows)
+      rows_.emplace(m_);  // otherwise: Appendix-A linear-memory mode
+    const std::size_t budget =
+        std::max<std::size_t>(1, options.checkpoint_mem / engines.size());
+    workers_.reserve(engines.size());
+    for (align::Engine* e : engines) {
+      REPRO_CHECK_MSG(e->lanes() == engines.front()->lanes(),
+                      "all worker engines must have the same lane count");
+      Worker& w = workers_.emplace_back(*e);
+      w.rows.resize(static_cast<std::size_t>(e->lanes()));
+      w.plain_rows.resize(static_cast<std::size_t>(e->lanes()));
+      if (incremental() && e->supports_checkpoints()) w.cache.emplace(budget);
+    }
+    groups_ = make_groups(m_, engines.front()->lanes());
+    for (std::size_t gi = 0; gi < groups_.size(); ++gi)
+      queue_.push(static_cast<int>(gi), groups_[gi].key());
+  }
+
+  /// Runs worker 0 on the calling thread and every further worker on its
+  /// own thread, then publishes the run's stats under `metrics_prefix`.
+  FinderResult run(std::string_view metrics_prefix) {
+    util::WallTimer timer;
+    std::vector<std::thread> threads;
+    try {
+      for (std::size_t k = 1; k < workers_.size(); ++k)
+        threads.emplace_back([this, k] { work(workers_[k]); });
+    } catch (...) {
+      stop(std::current_exception());  // still join the threads started
+    }
+    work(workers_.front());
+    for (auto& t : threads) t.join();
+    if (error_) std::rethrow_exception(error_);
+
+    stats_.seconds = timer.seconds();
+    stats_.queue_pops = queue_.pops();
+    const auto key = [metrics_prefix](std::string_view name) {
+      std::string k(metrics_prefix);
+      k += name;
+      return k;
+    };
+    for (std::size_t k = 0; k < workers_.size(); ++k) {
+      const Worker& w = workers_[k];
+      stats_.cells += w.engine.cells_computed() - w.cells0;
+      const align::PrecisionStats p = w.engine.precision_stats();
+      stats_.i8_sweeps += p.i8_sweeps - w.prec0.i8_sweeps;
+      stats_.i16_sweeps += p.i16_sweeps - w.prec0.i16_sweeps;
+      stats_.precision_escalations += p.escalations - w.prec0.escalations;
+      stats_.profile_hits += p.profile_hits - w.prec0.profile_hits;
+      stats_.idle_seconds += w.idle;
+      if (w.cache) {
+        const align::CheckpointCacheStats& cs = w.cache->stats();
+        stats_.ckpt_hits += cs.hits;
+        stats_.ckpt_misses += cs.misses;
+        stats_.ckpt_evictions += cs.evictions;
+      }
+      if constexpr (obs::kEnabled)
+        obs::Registry::global()
+            .timer(key("idle_wait_sec.t") + std::to_string(k))
+            .add_seconds(w.idle);
+    }
+    if constexpr (obs::kEnabled) {
+      auto& reg = obs::Registry::global();
+      reg.counter(key("queue.pushes")).add(queue_.pushes());
+      reg.counter(key("queue.stale_skips")).add(queue_.stale_skips());
+      reg.counter(key("threads")).add(workers_.size());
+    }
+    publish_finder_stats(stats_, m_, metrics_prefix);
+    FinderResult res;
+    res.tops = std::move(tops_);
+    res.stats = stats_;
+    return res;
+  }
+
+ private:
+  int version() const { return static_cast<int>(tops_.size()); }
+
+  bool incremental() const { return options_.checkpoint_mem > 0; }
+
+  static bool has_stale_member(const GroupTask& g, int version) {
+    return std::any_of(g.version.begin(), g.version.end(),
+                       [version](int v) { return v != version; });
+  }
+
+  /// True when group gi should be swept next: its best member is stale
+  /// (best-first) or any member is (exhaustive sweep).
+  bool due(int gi) const {
+    const GroupTask& g = groups_[static_cast<std::size_t>(gi)];
+    return options_.policy == RescanPolicy::kBestFirst
+               ? !g.best_up_to_date(version())
+               : has_stale_member(g, version());
+  }
+
+  /// The acceptance rule for the queue head (see the class comment).
+  bool can_accept(const TaskKey& head, int gi) const {
+    if (!groups_[static_cast<std::size_t>(gi)].best_up_to_date(version()))
+      return false;
+    if (!inflight_.empty() && inflight_.begin()->before(head)) return false;
+    return options_.policy == RescanPolicy::kBestFirst ||
+           std::none_of(groups_.begin(), groups_.end(),
+                        [this](const GroupTask& g) {
+                          return has_stale_member(g, version());
+                        });
+  }
+
+  int ckpt_stride(int rows) const {
+    const int c = std::max(1, options_.checkpoints_per_sweep);
+    return std::max(1, (rows + c - 1) / c);
+  }
+
+  /// Deepest plain-checkpoint row still usable by an *overridden* sweep of
+  /// the group at r0: no accepted pair reaches rows at or above it. Caller
+  /// holds the lock (dirty_ is shared).
+  int plain_valid_limit(int r0) const {
+    int md = align::PairDirtyIndex::kNoDirtyRow;
+    for (const auto& d : dirty_) md = std::min(md, d.min_dirty_row(r0));
+    return md == align::PairDirtyIndex::kNoDirtyRow
+               ? std::numeric_limits<int>::max()
+               : md - 1;
+  }
+
+  /// True when no pair accepted since a stale member's version intersects
+  /// its rectangle — row and score are then provably unchanged. Caller holds
+  /// the lock.
+  bool group_untouched(const GroupTask& g) const {
+    for (int k = 0; k < g.count; ++k) {
+      const int v = g.version[static_cast<std::size_t>(k)];
+      if (v == version()) continue;
+      if (v < 0) return false;
+      const int r = g.r0 + k;
+      for (int t = v; t < version(); ++t)
+        if (dirty_[static_cast<std::size_t>(t)].min_dirty_row(r) <= r)
+          return false;
+    }
+    return true;
+  }
+
+  /// Replays acceptances the worker's cache has not seen yet. Caller holds
+  /// the lock.
+  void sync_cache(Worker& w) {
+    if (!w.cache) return;
+    for (; w.synced < static_cast<int>(dirty_.size()); ++w.synced)
+      w.cache->invalidate(dirty_[static_cast<std::size_t>(w.synced)]);
+  }
+
+  align::GroupJob make_job(int r0, int count,
+                           const align::OverrideTriangle* overrides) const {
+    align::GroupJob job;
+    job.seq = s_.codes();
+    job.scoring = &scoring_;
+    job.overrides = overrides;
+    job.r0 = r0;
+    job.count = count;
+    return job;
+  }
+
+  /// Wires checkpoint resume and emission into a sweep job; returns the
+  /// number of DP rows the sweep will restore instead of computing. `lookup`
+  /// is off for first alignments (nothing can be cached yet, and counting
+  /// them as misses would dilute the hit rate). Overridden lookups read the
+  /// shared dirty list, so the caller then holds the lock.
+  int attach_checkpoints(Worker& w, align::GroupJob& job,
+                         align::CheckpointSink& sink,
+                         align::CheckpointView& view, bool plain_sweep,
+                         bool lookup) const {
+    if (!w.cache) return 0;
+    int resumed = 0;
+    if (lookup) {
+      const auto found = w.cache->find(
+          job.r0, plain_sweep, plain_sweep ? 0 : plain_valid_limit(job.r0));
+      if (found) {
+        view = *found;
+        job.resume = &view;
+        resumed = view.row;
+        // Checkpoint-resume consistency: a resume point must lie strictly
+        // inside the group's row range (the kernel re-enters at row + 1).
+        REPRO_DCHECK(view.row >= 1 && view.row < job.r0);
+      }
+    }
+    sink.stride = ckpt_stride(job.r0 + job.count - 1);
+    sink.top_row = job.r0 - 1;
+    job.sink = &sink;
+    return resumed;
+  }
+
+  void size_outputs(std::vector<std::vector<align::Score>>& rows,
+                    std::vector<std::span<align::Score>>& outs,
+                    const GroupTask& g) const {
+    outs.resize(static_cast<std::size_t>(g.count));
+    for (int k = 0; k < g.count; ++k) {
+      auto& row = rows[static_cast<std::size_t>(k)];
+      row.resize(static_cast<std::size_t>(m_ - (g.r0 + k)));
+      outs[static_cast<std::size_t>(k)] = row;
+    }
+  }
+
+  /// Ends the run for every worker; the first error is rethrown by run().
+  void stop(std::exception_ptr error) {
+    std::lock_guard lock(mutex_);
+    if (!error_) error_ = std::move(error);
+    done_ = true;
+    cv_.notify_all();
+  }
+
+  void work(Worker& w) {
+    try {
+      work_loop(w);
+    } catch (...) {
+      stop(std::current_exception());
+    }
+  }
+
+  void work_loop(Worker& w) {
+    util::WallTimer wait_timer;
+    std::unique_lock lock(mutex_);
+    while (!done_) {
+      // 1. Acceptance: the head passes the acceptance rule and no other
+      //    acceptance is running.
+      if (!accepting_) {
+        const auto head = queue_.peek();
+        if (head && can_accept(head->first, head->second)) {
+          if (head->first.score < options_.min_score) {
+            done_ = true;  // every bound is lower: search exhausted
+            break;
+          }
+          accept_head(lock, w, head->second);
+          if (version() >= options_.num_top_alignments) done_ = true;
+          cv_.notify_all();
+          continue;
+        }
+      }
+
+      // 2. Realignment: the best group due for a sweep not yet assigned.
+      if (const auto gi = queue_.pop_best_if([this](int g) { return due(g); })) {
+        realign(lock, w, *gi);
+        cv_.notify_all();
+        continue;
+      }
+
+      // 3. Exhaustion: nothing queued, nothing running, nothing accepting.
+      if (queue_.empty() && inflight_.empty() && !accepting_) {
+        done_ = true;
+        break;
+      }
+      wait_timer.reset();
+      cv_.wait(lock);
+      w.idle += wait_timer.seconds();
+    }
+    cv_.notify_all();
+  }
+
+  /// Recomputes the empty-triangle bottom rows of group g — the shadow-
+  /// rejection references when no archive is kept — on the worker's engine
+  /// and returns member b's. Sweeping the whole group keeps the plain
+  /// checkpoint entry in one layout and resumes just above the group.
+  std::span<const align::Score> recompute_original(Worker& w,
+                                                   const GroupTask& g, int b,
+                                                   align::Score priority) {
+    align::GroupJob plain = make_job(g.r0, g.count, nullptr);
+    attach_checkpoints(w, plain, w.plain_sink, w.plain_view,
+                       /*plain_sweep=*/true, /*lookup=*/true);
+    size_outputs(w.plain_rows, w.plain_outs, g);
+    w.engine.align(plain, w.plain_outs);
+    if (w.cache)
+      w.cache->store(g.r0, /*plain_class=*/true, priority, w.plain_sink);
+    return w.plain_rows[static_cast<std::size_t>(b)];
+  }
+
+  void accept_head(std::unique_lock<std::mutex>& lock, Worker& w, int gi) {
+    const auto popped = queue_.pop_best();
+    REPRO_CHECK(popped && *popped == gi);
+    GroupTask& g = groups_[static_cast<std::size_t>(gi)];
+    const int b = g.best_member();
+    const int r = g.r0 + b;
+    const align::Score expected = g.score[static_cast<std::size_t>(b)];
+    accepting_ = true;
+    sync_cache(w);
+    lock.unlock();
+    // Traceback runs unlocked (the paper notes it is the slow sequential
+    // part); it is the only writer of the triangle while accepting_ holds.
+    TopAlignment top =
+        rows_ ? accept_with_row(s_, scoring_, triangle_, rows_->row(r), r,
+                                expected, options_.traceback)
+              : accept_with_row(s_, scoring_, triangle_,
+                                recompute_original(w, g, b, expected), r,
+                                expected, options_.traceback);
+    lock.lock();
+    tops_.push_back(std::move(top));
+    if constexpr (check::kContractsEnabled) {
+      // Acceptance order (§2.2): scores never increase down the top list.
+      [[maybe_unused]] const std::size_t n = tops_.size();
+      REPRO_DCHECK_MSG(n < 2 || tops_[n - 1].score <= tops_[n - 2].score,
+                       "acceptance " << n - 1 << " (score "
+                                     << tops_[n - 1].score
+                                     << ") outranks its predecessor (score "
+                                     << tops_[n - 2].score << ")");
+      // Triangle monotone growth: every accepted pair is now overridden.
+      for ([[maybe_unused]] const auto& pair : tops_.back().pairs)
+        REPRO_DCHECK(triangle_.contains(pair.first, pair.second));
+    }
+    if (incremental())
+      dirty_.emplace_back(
+          std::span<const std::pair<int, int>>(tops_.back().pairs));
+    ++stats_.tracebacks;
+    accepting_ = false;
+    queue_.push(gi, g.key());
+  }
+
+  /// (Re)aligns every member of group gi against the triangle and refreshes
+  /// the member scores (shadow-rejected bottom-row maxima).
+  void realign(std::unique_lock<std::mutex>& lock, Worker& w, int gi) {
+    GroupTask& g = groups_[static_cast<std::size_t>(gi)];
+    const int v = version();  // label: triangle version at sweep start
+    // Low-memory mode pays a paired empty-triangle sweep per realignment to
+    // recompute the originals (first alignments archive nothing).
+    const bool recompute = !rows_ && v > 0;
+
+    // Low-memory fast path: when every stale member's rectangle is untouched
+    // by the pairs accepted since its version, both the overridden sweep and
+    // the paired empty-triangle recompute are provably no-ops — bump the
+    // versions without computing anything.
+    if (recompute && incremental() && group_untouched(g)) {
+      for (auto& mv : g.version) {
+        if (mv != v) {
+          mv = v;
+          ++stats_.skipped_realignments;
+        }
+      }
+      queue_.push(gi, g.key());
+      return;
+    }
+
+    const auto it = inflight_.insert(g.key());
+    const std::vector<int> prev_version = g.version;
+    std::vector<align::Score> prev_score;  // contracts-only snapshot
+    if constexpr (check::kContractsEnabled) prev_score = g.score;
+    const bool quiet_start = !accepting_;
+    const int rows_g = g.r0 + g.count - 1;
+    // Checkpoint sync and lookups run locked (the dirty list is shared); the
+    // views stay valid unlocked because only this thread mutates the cache.
+    // A version-0 sweep runs under the empty triangle and is cached as a
+    // plain sweep; overridden checkpoints stay valid via invalidation.
+    sync_cache(w);
+    align::GroupJob job = make_job(g.r0, g.count, v == 0 ? nullptr : &triangle_);
+    const int resumed = attach_checkpoints(w, job, w.sink, w.view,
+                                           /*plain_sweep=*/v == 0,
+                                           /*lookup=*/v > 0);
+    align::GroupJob plain = make_job(g.r0, g.count, nullptr);
+    const int plain_resumed =
+        recompute ? attach_checkpoints(w, plain, w.plain_sink, w.plain_view,
+                                       /*plain_sweep=*/true, /*lookup=*/true)
+                  : 0;
+    lock.unlock();
+
+    util::WallTimer sweep_timer;
+    // Plain first: an adaptive engine then escalates the group on its plain
+    // rows before its first overridden sweep (whose scores are never higher),
+    // so each cache entry keeps one precision layout.
+    if (recompute) {
+      size_outputs(w.plain_rows, w.plain_outs, g);
+      w.engine.align(plain, w.plain_outs);
+    }
+    size_outputs(w.rows, w.outs, g);
+    w.engine.align(job, w.outs);
+    const double sweep_seconds = sweep_timer.seconds();
+
+    std::vector<align::Score> new_scores(static_cast<std::size_t>(g.count));
+    for (int k = 0; k < g.count; ++k) {
+      const int r = g.r0 + k;
+      const auto& row = w.rows[static_cast<std::size_t>(k)];
+      align::Score& score = new_scores[static_cast<std::size_t>(k)];
+      if (prev_version[static_cast<std::size_t>(k)] == -1) {
+        // Every rectangle is first-aligned while all queue keys are still
+        // infinite, i.e. before any acceptance; the archived bottom rows are
+        // therefore always empty-triangle originals (disjoint: safe unlocked).
+        REPRO_CHECK(v == 0);
+        if (rows_) rows_->store(r, row);
+        score = align::find_best_end(row).score;
+      } else if (rows_) {
+        score = align::find_best_end(row, rows_->row(r)).score;
+      } else {
+        score = align::find_best_end(
+                    row, std::span<const align::Score>(
+                             w.plain_rows[static_cast<std::size_t>(k)]))
+                    .score;
+      }
+    }
+
+    lock.lock();
+    inflight_.erase(it);
+    if (w.cache) {
+      // The sweep ran unlocked, so the triangle may have grown under it:
+      // staged rows at or past any mid-sweep acceptance's dirty row could
+      // reflect torn override bits — drop them before committing. Rows below
+      // every dirty row are pure and current by the monotone-growth argument.
+      // The paired plain sweep never reads the triangle and needs no drop.
+      int md = align::PairDirtyIndex::kNoDirtyRow;
+      for (int t = v; t < static_cast<int>(dirty_.size()); ++t)
+        md = std::min(md,
+                      dirty_[static_cast<std::size_t>(t)].min_dirty_row(g.r0));
+      w.sink.drop_from(md);
+      if constexpr (check::kContractsEnabled) {
+        for (int idx = 0; idx < w.sink.count; ++idx)
+          REPRO_DCHECK_MSG(
+              w.sink.rows[static_cast<std::size_t>(idx)].row < md,
+              "torn-read-unsafe checkpoint row "
+                  << w.sink.rows[static_cast<std::size_t>(idx)].row
+                  << " survived drop_from(" << md << ") for group r0="
+                  << g.r0);
+      }
+      const align::Score priority =
+          *std::max_element(new_scores.begin(), new_scores.end());
+      w.cache->store(g.r0, /*plain_class=*/v == 0, priority, w.sink);
+      if (recompute)
+        w.cache->store(g.r0, /*plain_class=*/true, priority, w.plain_sink);
+    }
+    if (v > 0) {
+      stats_.realign_seconds += sweep_seconds;
+      stats_.rows_swept += static_cast<std::uint64_t>(rows_g);
+      stats_.rows_skipped += static_cast<std::uint64_t>(resumed);
+      if (recompute) {
+        stats_.rows_swept += static_cast<std::uint64_t>(rows_g);
+        stats_.rows_skipped += static_cast<std::uint64_t>(plain_resumed);
+      }
+    }
+    // No acceptance started or finished during the sweep: it saw exactly the
+    // version-v triangle.
+    const bool saw_only_v = quiet_start && !accepting_ && version() == v;
+    for (int k = 0; k < g.count; ++k) {
+      const int pv = prev_version[static_cast<std::size_t>(k)];
+      if (pv == -1) {
+        ++stats_.first_alignments;
+      } else if (pv == v) {
+        ++stats_.speculative;  // lane-mate recomputed although already current
+      } else {
+        ++stats_.realignments;
+      }
+      if constexpr (check::kContractsEnabled) {
+        // Upper-bound property (Fig. 5): the sweep observed at least the
+        // version-v triangle and bits are only added, so a member aligned
+        // before can never come back with a higher score — and recomputing
+        // an up-to-date member under the same triangle is deterministic.
+        [[maybe_unused]] const align::Score before = prev_score[static_cast<std::size_t>(k)];
+        [[maybe_unused]] const align::Score after = new_scores[static_cast<std::size_t>(k)];
+        if (pv >= 0)
+          REPRO_DCHECK_MSG(after <= before,
+                           "realignment raised r=" << g.r0 + k << " from "
+                               << before << " to " << after
+                               << " — upper-bound property violated");
+        if (pv == v && saw_only_v)
+          REPRO_DCHECK_MSG(after == before,
+                           "speculative recompute changed r="
+                               << g.r0 + k << " from " << before << " to "
+                               << after);
+      }
+      g.score[static_cast<std::size_t>(k)] = new_scores[static_cast<std::size_t>(k)];
+      g.version[static_cast<std::size_t>(k)] = v;
+    }
+    queue_.push(gi, g.key());
+  }
+
+  const seq::Sequence& s_;
+  const seq::Scoring& scoring_;
+  const FinderOptions& options_;
+  int m_;
+  align::OverrideTriangle triangle_;
+  std::optional<align::BottomRowStore> rows_;
+  std::vector<Worker> workers_;
+  std::vector<GroupTask> groups_;
+  GroupQueue queue_;
+  std::multiset<TaskKey, KeyOrder> inflight_;
+  std::vector<align::PairDirtyIndex> dirty_;  ///< one entry per acceptance
+
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool accepting_ = false;
+  bool done_;
+  std::exception_ptr error_;
+
+  std::vector<TopAlignment> tops_;
+  FinderStats stats_;
+};
+
 }  // namespace
 
-TopAlignment accept_alignment(const seq::Sequence& s, const seq::Scoring& scoring,
-                              align::OverrideTriangle& triangle,
-                              const align::BottomRowStore& rows, int r,
-                              align::Score expected) {
-  return accept_with_row<std::int16_t>(s, scoring, triangle, rows.row(r), r,
-                                       expected);
+FinderResult run_scheduler(const seq::Sequence& s, const seq::Scoring& scoring,
+                           const FinderOptions& options,
+                           std::span<align::Engine* const> engines,
+                           std::string_view metrics_prefix) {
+  Scheduler scheduler(s, scoring, options, engines);
+  return scheduler.run(metrics_prefix);
 }
 
 TopAlignment accept_alignment(const seq::Sequence& s, const seq::Scoring& scoring,
                               align::OverrideTriangle& triangle,
                               std::span<const align::Score> original_row, int r,
                               align::Score expected) {
-  return accept_with_row<align::Score>(s, scoring, triangle, original_row, r,
-                                       expected);
+  return accept_with_row(s, scoring, triangle, original_row, r, expected,
+                         TracebackMode::kFullMatrix);
 }
 
 TopAlignment accept_alignment(const seq::Sequence& s, const seq::Scoring& scoring,
                               align::OverrideTriangle& triangle,
                               std::span<const std::int16_t> original_row, int r,
                               align::Score expected) {
-  return accept_with_row<std::int16_t>(s, scoring, triangle, original_row, r,
-                                       expected);
+  return accept_with_row(s, scoring, triangle, original_row, r, expected,
+                         TracebackMode::kFullMatrix);
 }
 
 void publish_finder_stats(const FinderStats& stats, int m,
@@ -551,8 +691,9 @@ FinderResult find_top_alignments(const seq::Sequence& s,
                                  const seq::Scoring& scoring,
                                  const FinderOptions& options,
                                  align::Engine& engine) {
-  SequentialRun run(s, scoring, options, engine);
-  return run.run();
+  obs::ScopedSpan span(obs::Registry::global(), "finder.run");
+  align::Engine* const engines[] = {&engine};
+  return run_scheduler(s, scoring, options, engines, "finder.");
 }
 
 FinderResult find_top_alignments(const seq::Sequence& s,

@@ -1,4 +1,5 @@
-// The new sequential top-alignment algorithm (paper §3, Fig. 5, Appendix A).
+// The top-alignment algorithm (paper §3, Fig. 5, Appendix A) and its one
+// scheduler, shared by the sequential and shared-memory (§4.2) finders.
 //
 // For a sequence S of length m, all m-1 prefix/suffix rectangles are first
 // aligned score-only against the empty override triangle (their bottom rows
@@ -16,11 +17,18 @@
 // The engine decides the SIMD group width: with an L-lane engine, rectangles
 // are scheduled in fixed groups of L neighbouring splits (§4.1); the
 // accepted top alignments are identical for every engine and group width.
+//
+// The scheduler runs one worker per engine. Each worker takes the best
+// stale group and realigns it; acceptance waits until no in-flight
+// realignment could still beat the head. With one worker this is exactly
+// the sequential algorithm above; with more it is the paper's speculative
+// shared-memory scheduler, and the tops stay identical for every worker
+// count.
 #pragma once
 
+#include <span>
 #include <string_view>
 
-#include "align/bottom_row_store.hpp"
 #include "align/engine.hpp"
 #include "align/override_triangle.hpp"
 #include "core/options.hpp"
@@ -28,7 +36,8 @@
 
 namespace repro::core {
 
-/// Runs the new algorithm with the given engine.
+/// Runs the new algorithm with the given engine: the scheduler with one
+/// worker on the calling thread. Publishes stats under "finder.".
 FinderResult find_top_alignments(const seq::Sequence& s,
                                  const seq::Scoring& scoring,
                                  const FinderOptions& options,
@@ -39,17 +48,22 @@ FinderResult find_top_alignments(const seq::Sequence& s,
                                  const seq::Scoring& scoring,
                                  const FinderOptions& options = {});
 
-/// Accepts rectangle r as the next top alignment: recomputes its full matrix
-/// under `triangle`, traces back the best valid end cell, verifies the score
-/// equals `expected`, and marks the alignment's pairs in `triangle`.
-/// Shared by the sequential, shared-memory, and distributed finders.
-TopAlignment accept_alignment(const seq::Sequence& s,
-                              const seq::Scoring& scoring,
-                              align::OverrideTriangle& triangle,
-                              const align::BottomRowStore& rows, int r,
-                              align::Score expected);
+/// The scheduler: one worker per engine (all with the same lane count), the
+/// first on the calling thread and each further one on its own thread.
+/// Publishes the run's stats under `metrics_prefix` (see
+/// publish_finder_stats) plus `<prefix>queue.pushes`,
+/// `<prefix>queue.stale_skips`, `<prefix>threads` and one
+/// `<prefix>idle_wait_sec.t<k>` timer per worker.
+FinderResult run_scheduler(const seq::Sequence& s, const seq::Scoring& scoring,
+                           const FinderOptions& options,
+                           std::span<align::Engine* const> engines,
+                           std::string_view metrics_prefix);
 
-/// Overload taking a freshly recomputed original bottom row (the Appendix-A
+/// Accepts rectangle r as the next top alignment: recomputes its full matrix
+/// under `triangle`, traces back the best valid end cell (shadow-rejected
+/// against `original_row`, its empty-triangle bottom row), verifies the
+/// score equals `expected`, and marks the alignment's pairs in `triangle`.
+/// This overload takes a freshly recomputed original row (the Appendix-A
 /// low-memory mode, MemoryMode::kRecomputeRows).
 TopAlignment accept_alignment(const seq::Sequence& s,
                               const seq::Scoring& scoring,
@@ -57,8 +71,8 @@ TopAlignment accept_alignment(const seq::Sequence& s,
                               std::span<const align::Score> original_row, int r,
                               align::Score expected);
 
-/// Overload taking an archived (i16) original row directly — used by the
-/// distributed master, whose row may be a fetched replica.
+/// Overload taking an archived (i16) original row, e.g.
+/// BottomRowStore::row(r) or the distributed master's fetched replica.
 TopAlignment accept_alignment(const seq::Sequence& s,
                               const seq::Scoring& scoring,
                               align::OverrideTriangle& triangle,
@@ -71,7 +85,7 @@ TopAlignment accept_alignment(const seq::Sequence& s,
 /// when at least two tops were accepted — `<prefix>realignments_avoided_pct`,
 /// the §3 claim measured against the exhaustive-sweep baseline of
 /// (tops-1)*(m-1) realignments. No-op when REPRO_OBS is off. Shared by the
-/// sequential, shared-memory, and distributed finders.
+/// scheduler and the distributed finder.
 void publish_finder_stats(const FinderStats& stats, int m,
                           std::string_view prefix);
 

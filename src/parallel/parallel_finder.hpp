@@ -1,7 +1,7 @@
 // Shared-memory dynamic speculative scheduler (paper §4.2).
 //
 // Worker threads share the task queue, the override triangle, and the
-// bottom-row store. Each idle worker takes the best *stale* group from the
+// bottom-row archive. Each idle worker takes the best *stale* group from the
 // queue, realigns it with its private engine, and requeues it. A top
 // alignment is accepted when the queue head is up to date — with one
 // determinism refinement over the paper's prose: acceptance also waits until
@@ -15,6 +15,11 @@
 // Speculation: realignments that overlap an acceptance are kept — their
 // results are upper bounds for the grown triangle and are simply requeued
 // (the paper's "the work for the superfluous tasks is not wasted").
+//
+// The scheduler itself is core::run_scheduler, whose one-worker case is the
+// sequential finder; this entry point only builds one engine per worker.
+// Every FinderOptions mode (low-memory rows, linear-space traceback,
+// exhaustive sweep) works at any thread count.
 #pragma once
 
 #include "align/engine.hpp"
@@ -36,7 +41,9 @@ struct ParallelOptions {
 };
 
 /// Runs the shared-memory finder. Produces exactly the same top alignments
-/// as the sequential finder with an identical-lane engine.
+/// as the sequential finder with an identical-lane engine (and, for the
+/// linear-space traceback, the same traceback mode). Publishes stats under
+/// "parallel.".
 core::FinderResult find_top_alignments_parallel(const seq::Sequence& s,
                                                 const seq::Scoring& scoring,
                                                 const ParallelOptions& options,

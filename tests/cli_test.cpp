@@ -124,6 +124,20 @@ TEST(Cli, ParallelThreadsAgreeWithSequential) {
   EXPECT_EQ(seq.out, par.out);
 }
 
+TEST(Cli, LowMemoryAndLinearTracebackWorkAtAnyThreadCount) {
+  const std::string fasta = temp_fasta();
+  ASSERT_EQ(run_cli("generate --kind titin --length 260 --out " + fasta).status, 0);
+  for (const std::string flag : {"--low-memory", "--linear-traceback"}) {
+    const std::string find =
+        "find --fasta " + fasta + " --tops 5 --format csv " + flag;
+    const RunResult one = run_cli(find + " --threads 1");
+    const RunResult two = run_cli(find + " --threads 2");
+    EXPECT_EQ(one.status, 0) << flag << ": " << one.out;
+    EXPECT_EQ(two.status, 0) << flag << ": " << two.out;
+    EXPECT_EQ(one.out, two.out) << flag;
+  }
+}
+
 TEST(Cli, ClusterRanksAgreeWithSequentialEvenUnderFaults) {
   const std::string fasta = temp_fasta();
   ASSERT_EQ(run_cli("generate --kind titin --length 260 --out " + fasta).status, 0);

@@ -191,7 +191,10 @@ int cmd_find(int argc, char** argv) {
                     "lane element width for the best engine: auto (default; "
                     "u8 with lossless i16 escalation) | i8 | i16 | i32 — "
                     "excludes --engine"},
-                   {"threads", "shared-memory workers (default 1 = sequential)"},
+                   {"threads",
+                    "shared-memory workers (default 1 = sequential); "
+                    "--low-memory and --linear-traceback work at any "
+                    "thread count"},
                    {"ranks",
                     "simulated cluster ranks incl. master (default 1 = no "
                     "cluster; excludes --threads)"},
