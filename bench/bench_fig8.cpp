@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
       opt.num_top_alignments = static_cast<int>(tops_list[ti]);
       const auto sim = cluster::simulate_cluster(
           oracle, model_for(static_cast<int>(p), simd_rate), opt);
-      row.push_back(scalar_seq[ti] / sim.makespan_sec);
+      row.emplace_back(scalar_seq[ti] / sim.makespan_sec);
       if (ti == 0 && p == 1) simd1_one_top = sim.makespan_sec;
       if (ti == 0 && p == procs.back()) t128_one_top = sim.makespan_sec;
     }

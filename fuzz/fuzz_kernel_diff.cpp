@@ -1,19 +1,27 @@
 // Differential kernel fuzz target — the fuzzing counterpart of
 // core_equivalence_test.
 //
-// From the input bytes it builds a small DNA sequence and a set of override
-// bits, then for every split r checks that
+// From the input bytes it builds a small DNA sequence, a scoring and a set
+// of override bits, then for every split r checks that
 //
 //   * the scalar engine (reference), the striped scalar engine with a tiny
-//     stripe, and the portable SIMD engines (8 x i16 lanes, 4 x i32 lanes)
-//     produce bit-identical bottom rows, and
+//     stripe, the portable SIMD engines (8 x i16 lanes, 4 x i32 lanes) and
+//     the adaptive u8 -> i16 engines (the default `auto` with 3-column
+//     stripes, and `auto-generic`) produce bit-identical bottom rows, one
+//     split at a time and in full lane groups,
 //   * resuming the scalar engine from any checkpoint row it emitted
 //     reproduces the fresh bottom row exactly (§3 checkpoint-resume
 //     bit-identity).
 //
+// Byte 1 >= 0x80 selects match +40 instead of the paper's +2: a u8 lane
+// then passes its ceiling (255 - 1 - 40) after six matches, so escalation
+// and the stripe-boundary early exit of saturating u8 sweeps get fuzzed.
+//
 // Any divergence throws; the driver reports it with the reproducing input.
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -50,7 +58,8 @@ void compare_rows(const std::vector<Score>& ref, const std::vector<Score>& got,
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size < 4) return 0;
-  // Byte 0: sequence length m in [3, 34]. Byte 1: checkpoint stride seed.
+  // Byte 0: sequence length m in [3, 34]. Byte 1: checkpoint stride seed
+  // and scoring selector.
   // Bytes then alternate: residue stream (2 bits each), then override pairs.
   const int m = 3 + static_cast<int>(data[0] % 32);
   const int stride = 1 + static_cast<int>(data[1] % 5);
@@ -69,7 +78,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     tri.set(i, j);
   }
 
-  const repro::seq::Scoring scoring = repro::seq::Scoring::paper_example();
+  const repro::seq::Scoring scoring =
+      data[1] >= 0x80
+          ? repro::seq::Scoring{repro::seq::ScoreMatrix::dna(40, -1),
+                                repro::seq::GapPenalty{2, 1}}
+          : repro::seq::Scoring::paper_example();
   const auto scalar = repro::align::make_engine(
       repro::align::EngineKind::kScalar);
   // Stripe width 3 forces many stripe boundaries even on tiny rectangles.
@@ -79,6 +92,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       repro::align::EngineKind::kSimd8Generic);
   const auto simd4x32 = repro::align::make_engine(
       repro::align::EngineKind::kSimd4x32Generic);
+  const auto auto_striped =
+      repro::align::make_engine(repro::align::EngineKind::kSimdAuto, 3);
+  const auto auto_generic = repro::align::make_engine(
+      repro::align::EngineKind::kSimdAutoGeneric);
+
+  std::vector<std::vector<Score>> refs(static_cast<std::size_t>(m));
 
   for (int r = 1; r < m; ++r) {
     GroupJob job;
@@ -93,11 +112,14 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     sink.top_row = r - 1;
     GroupJob fresh = job;
     fresh.sink = &sink;
-    const auto ref = scalar->align_one(fresh);
+    const auto& ref = refs[static_cast<std::size_t>(r)] =
+        scalar->align_one(fresh);
 
     compare_rows(ref, striped->align_one(job), "striped", r);
     compare_rows(ref, simd8->align_one(job), "simd8generic", r);
     compare_rows(ref, simd4x32->align_one(job), "simd4x32generic", r);
+    compare_rows(ref, auto_striped->align_one(job), "auto", r);
+    compare_rows(ref, auto_generic->align_one(job), "autogeneric", r);
 
     // Resume from every emitted checkpoint row strictly above the bottom row
     // and demand the identical bottom row (§3 bit-identity on resume).
@@ -115,6 +137,33 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       resumed.resume = &view;
       compare_rows(ref, scalar->align_one(resumed),
                    "resume@" + std::to_string(cr.row), r);
+    }
+  }
+
+  // Full lane groups: column masks, deep rows and partial final groups.
+  for (auto* const engine : {auto_striped.get(), auto_generic.get()}) {
+    const int lanes = engine->lanes();
+    for (int r0 = 1; r0 < m; r0 += lanes) {
+      GroupJob job;
+      job.seq = seq;
+      job.scoring = &scoring;
+      job.overrides = &tri;
+      job.r0 = r0;
+      job.count = std::min(lanes, m - r0);
+      std::vector<std::vector<Score>> rows(
+          static_cast<std::size_t>(job.count));
+      std::vector<std::span<Score>> outs;
+      for (int k = 0; k < job.count; ++k) {
+        rows[static_cast<std::size_t>(k)].resize(
+            static_cast<std::size_t>(m - (r0 + k)));
+        outs.emplace_back(rows[static_cast<std::size_t>(k)]);
+      }
+      engine->align(job, outs);
+      for (int k = 0; k < job.count; ++k)
+        compare_rows(refs[static_cast<std::size_t>(r0 + k)],
+                     rows[static_cast<std::size_t>(k)],
+                     engine->name() + " group r0=" + std::to_string(r0),
+                     r0 + k);
     }
   }
   return 0;

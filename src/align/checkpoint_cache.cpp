@@ -143,7 +143,7 @@ void CheckpointCache::invalidate(const PairDirtyIndex& dirty) {
       // Every surviving overridden row must sit strictly below the
       // alignment's first dirty row; anything deeper could reflect override
       // bits added after the emitting sweep.
-      for (const CheckpointRow& cr : rows)
+      for ([[maybe_unused]] const CheckpointRow& cr : rows)
         REPRO_DCHECK_MSG(cr.row < md, "invalidation left a dirty checkpoint "
                                       "row " << cr.row << " (min dirty " << md
                                              << ") for group r0="

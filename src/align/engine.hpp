@@ -78,9 +78,10 @@ class Engine {
   [[nodiscard]] std::uint64_t cells_skipped() const { return cells_skipped_; }
 
   /// Adaptive-precision / query-profile counters (zeros for engines without
-  /// SIMD profiles). Escalated groups are swept at both precisions, so the
-  /// per-group cell accounting above slightly undercounts their first
-  /// alignment; these counters make that visible.
+  /// SIMD profiles). An escalated group's first alignment runs a u8 attempt
+  /// (stopped at its first stripe past the u8 limit) and then a full i16
+  /// sweep, yet the cell accounting above counts the group's lane-cells
+  /// once, at its geometry; these counters make the extra sweep visible.
   [[nodiscard]] virtual PrecisionStats precision_stats() const { return {}; }
 
   void reset_counters() {
@@ -118,6 +119,7 @@ enum class EngineKind {
   kSimd32x8,       ///< 32 x u8 lanes (AVX2, biased saturating arithmetic)
   kSimd8x8Generic, ///< 8 scalar u8 lanes (portable reference)
   kSimdAuto,       ///< adaptive u8 -> i16 on the widest ISA available
+                   ///< (see AdaptiveIsa)
   kSimdAutoGeneric ///< adaptive u8 -> i16, portable lanes (cross-check)
 };
 
@@ -141,6 +143,21 @@ bool avx2_available();
 
 /// True when the SSE4.1 (4 x i32) engine can run on this CPU and build.
 bool sse41_available();
+
+/// Instruction sets the adaptive (u8 -> i16) engine is built for, narrowest
+/// first. EngineKind::kSimdAuto runs the widest one available. All compute
+/// identical bottom rows; the SSE2 engine sweeps 16 lanes, the AVX2 and
+/// AVX-512BW engines 32 (with identical group geometry, checkpoint layout
+/// and counters), the generic engine 8.
+enum class AdaptiveIsa { kGeneric, kSse2, kAvx2, kAvx512bw };
+
+/// True when this build and CPU can run the adaptive engine for `isa`.
+bool adaptive_isa_available(AdaptiveIsa isa);
+
+/// The adaptive engine for `isa` (auto-generic, auto-sse2, auto-avx2 or
+/// auto-avx512); throws when !adaptive_isa_available(isa).
+std::unique_ptr<Engine> make_adaptive_engine(AdaptiveIsa isa,
+                                             int stripe_cols = 0);
 
 /// Element precision `kind` computes in: kI8/kI16 for the fixed saturating
 /// engines, kI32 for scalar/striped/general-gap/i32-SIMD kinds, kAdaptive

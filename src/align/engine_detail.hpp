@@ -55,6 +55,7 @@ std::unique_ptr<Engine> make_simd_avx2_engine(int stripe_cols);
 std::unique_ptr<Engine> make_simd_avx2_32_engine(int stripe_cols);
 std::unique_ptr<Engine> make_simd_avx2_u8_engine(int stripe_cols);
 std::unique_ptr<Engine> make_adaptive_avx2_engine(int stripe_cols);
+std::unique_ptr<Engine> make_adaptive_avx512_engine(int stripe_cols);
 #endif
 
 }  // namespace repro::align::detail

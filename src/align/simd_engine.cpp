@@ -5,7 +5,8 @@
 // i16), the 8-lane engine its Pentium 4 SSE2 configuration (8 x i16); the
 // AVX2 16-lane engine (separate TU) is the natural successor. Generic-lane
 // engines run the identical kernel without intrinsics, both as a portable
-// fallback and as a cross-check in tests.
+// fallback and as a cross-check in tests. The adaptive engines of every ISA
+// (AdaptiveIsa) are dispatched here too.
 #include "align/engine.hpp"
 
 #include <limits>
@@ -211,6 +212,51 @@ bool sse41_available() {
 #endif
 }
 
+bool adaptive_isa_available(AdaptiveIsa isa) {
+  switch (isa) {
+    case AdaptiveIsa::kGeneric:
+      return true;
+    case AdaptiveIsa::kSse2:
+#if REPRO_HAVE_SSE2
+      return true;
+#else
+      return false;
+#endif
+    case AdaptiveIsa::kAvx2:
+      return avx2_available();
+    case AdaptiveIsa::kAvx512bw:
+#if REPRO_ENABLE_AVX2
+      return __builtin_cpu_supports("avx512bw") != 0;
+#else
+      return false;
+#endif
+  }
+  return false;
+}
+
+std::unique_ptr<Engine> make_adaptive_engine(AdaptiveIsa isa,
+                                             int stripe_cols) {
+  REPRO_CHECK_MSG(adaptive_isa_available(isa),
+                  "adaptive engine ISA not supported by this build or CPU");
+  switch (isa) {
+    case AdaptiveIsa::kGeneric:
+      return detail::make_adaptive_generic_engine(stripe_cols);
+#if REPRO_HAVE_SSE2
+    case AdaptiveIsa::kSse2:
+      return detail::make_adaptive_sse2_engine(stripe_cols);
+#endif
+#if REPRO_ENABLE_AVX2
+    case AdaptiveIsa::kAvx2:
+      return detail::make_adaptive_avx2_engine(stripe_cols);
+    case AdaptiveIsa::kAvx512bw:
+      return detail::make_adaptive_avx512_engine(stripe_cols);
+#endif
+    default:
+      break;
+  }
+  return nullptr;  // unreachable: availability was checked above
+}
+
 std::unique_ptr<Engine> make_engine(EngineKind kind, int stripe_cols) {
   switch (kind) {
     case EngineKind::kScalar:
@@ -271,16 +317,13 @@ std::unique_ptr<Engine> make_engine(EngineKind kind, int stripe_cols) {
     case EngineKind::kSimd8x8Generic:
       return detail::make_simd_u8_generic_engine(stripe_cols);
     case EngineKind::kSimdAuto:
-#if REPRO_ENABLE_AVX2
-      if (avx2_available()) return detail::make_adaptive_avx2_engine(stripe_cols);
-#endif
-#if REPRO_HAVE_SSE2
-      return detail::make_adaptive_sse2_engine(stripe_cols);
-#else
-      return detail::make_adaptive_generic_engine(stripe_cols);
-#endif
+      for (const AdaptiveIsa isa :
+           {AdaptiveIsa::kAvx512bw, AdaptiveIsa::kAvx2, AdaptiveIsa::kSse2})
+        if (adaptive_isa_available(isa))
+          return make_adaptive_engine(isa, stripe_cols);
+      return make_adaptive_engine(AdaptiveIsa::kGeneric, stripe_cols);
     case EngineKind::kSimdAutoGeneric:
-      return detail::make_adaptive_generic_engine(stripe_cols);
+      return make_adaptive_engine(AdaptiveIsa::kGeneric, stripe_cols);
   }
   REPRO_CHECK_MSG(false, "unknown engine kind");
   return nullptr;  // unreachable

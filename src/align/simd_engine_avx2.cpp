@@ -1,14 +1,16 @@
 // AVX2 engines, compiled with -mavx2 in their own translation unit.
 // Dispatch happens in make_engine() behind a runtime CPU check. Four
-// engines live here: 16 x i16, 8 x i32, 32 x u8 (biased saturating), and
-// the adaptive driver pairing the 32 x u8 kernel with a double-pumped
-// 32-lane i16 escalation path (two YMM registers per vector).
+// engines live here: 16 x i16, 8 x i32, 32 x u8 (biased saturating,
+// simd_ops_avx2.hpp), and the adaptive driver pairing the 32 x u8 kernel
+// with a double-pumped 32-lane i16 escalation path (two YMM registers per
+// vector; simd_engine_avx512.cpp holds the one-register variant).
 #include <immintrin.h>
 
 #include "align/engine.hpp"
 #include "align/engine_detail.hpp"
 #include "align/simd_engine_impl.hpp"
 #include "align/simd_kernel.hpp"
+#include "align/simd_ops_avx2.hpp"
 
 namespace repro::align::detail {
 namespace {
@@ -48,29 +50,6 @@ struct Avx2Ops8x32 {
   static Vec max(Vec a, Vec b) { return _mm256_max_epi32(a, b); }
   static Vec adds(Vec a, Vec b) { return _mm256_add_epi32(a, b); }
   static Vec subs(Vec a, Vec b) { return _mm256_sub_epi32(a, b); }
-  static Vec and_(Vec a, Vec b) { return _mm256_and_si256(a, b); }
-};
-
-/// Thirty-two unsigned u8 lanes in one YMM register (biased saturating
-/// arithmetic; see simd_kernel.hpp for the bias/losslessness discussion).
-struct Avx2Ops32x8 {
-  static constexpr int kLanes = 32;
-  using Elem = std::uint8_t;
-  static constexpr bool kSaturating = true;
-  using Vec = __m256i;
-  static Vec zero() { return _mm256_setzero_si256(); }
-  static Vec set1(std::uint8_t x) {
-    return _mm256_set1_epi8(static_cast<char>(x));
-  }
-  static Vec load(const std::uint8_t* p) {
-    return _mm256_load_si256(reinterpret_cast<const __m256i*>(p));
-  }
-  static void store(std::uint8_t* p, Vec a) {
-    _mm256_store_si256(reinterpret_cast<__m256i*>(p), a);
-  }
-  static Vec max(Vec a, Vec b) { return _mm256_max_epu8(a, b); }
-  static Vec adds(Vec a, Vec b) { return _mm256_adds_epu8(a, b); }
-  static Vec subs(Vec a, Vec b) { return _mm256_subs_epu8(a, b); }
   static Vec and_(Vec a, Vec b) { return _mm256_and_si256(a, b); }
 };
 

@@ -1,7 +1,7 @@
 // Shared SIMD engine implementations. Not part of the API.
 //
-// Every SIMD translation unit (SSE2, SSE4.1, AVX2, generic) instantiates the
-// same two class templates over its Ops policies:
+// Every SIMD translation unit (SSE2, SSE4.1, AVX2, AVX-512BW, generic)
+// instantiates the same two class templates over its Ops policies:
 //
 //   * SimdEngineT<Ops> — fixed-precision engine: one scratch, one cached
 //     query profile, one kernel instantiation. Saturation throws (the
@@ -10,8 +10,9 @@
 //   * AdaptiveEngineT<Ops8, Ops16> — the adaptive driver: runs each group in
 //     u8 lanes, and when the sweep's saturation guard fires re-runs exactly
 //     that group in i16 lanes *at the same lane count* (DoublePumpOps splits
-//     each u8 vector across two i16 registers), so group geometry, outputs,
-//     and checkpoint layouts stay native in both precisions. Escalation is
+//     each u8 vector across two i16 registers; on AVX-512BW one ZMM register
+//     holds all 32 i16 lanes), so group geometry, outputs, and checkpoint
+//     layouts stay native in both precisions. Escalation is
 //     sticky per split: override growth only ever zeroes cells, so DP values
 //     are monotonically nonincreasing across realignment rounds — a group
 //     that saturated once is swept at i16 from then on (and, conversely, a
@@ -112,14 +113,14 @@ class SimdEngineT final : public Engine {
                       "scoring exceeds the u8 biased-profile range; use an "
                       "adaptive (auto) or wider engine");
     }
-    run_simd_group<Ops>(job, out, stripe_, scratch_, &profile_);
+    run_simd_group<Ops>(job, out, stripe_, scratch_, profile_);
     note_sweep<typename Ops::Elem>(stats_);
   }
 
  private:
   std::string name_;
   int stripe_;
-  SimdScratchT<typename Ops::Elem> scratch_;
+  SimdScratchT<Ops> scratch_;
   QueryProfileT<typename Ops::Elem> profile_;
   PrecisionStats stats_;
 };
@@ -202,11 +203,13 @@ class AdaptiveEngineT final : public Engine {
       if (j8.resume != nullptr && j8.resume->elem_size != 1)
         j8.resume = nullptr;
       bool sat = false;
-      run_simd_group<Ops8>(j8, out, stripe8_, scratch8_, &profile8_, &sat);
+      run_simd_group<Ops8>(j8, out, stripe8_, scratch8_, profile8_, &sat);
       note_sweep<std::uint8_t>(stats_);
       if (!sat) return;
-      // Escalate: outputs and staged checkpoints from the u8 attempt are
-      // uncertified; the i16 sweep below re-prepares the same sink, so the
+      // Escalate: the u8 attempt stopped at its first stripe past the
+      // limit (it still counts as an i8 sweep, and Engine::align counts the
+      // group's lane-cells once); its outputs and staged checkpoints are
+      // uncertified. The i16 sweep below re-prepares the same sink, so the
       // group's cache entry holds i16 rows from its very first store.
       ++stats_.escalations;
       note_escalation_obs();
@@ -216,7 +219,7 @@ class AdaptiveEngineT final : public Engine {
     GroupJob j16 = job;
     if (j16.resume != nullptr && j16.resume->elem_size != 2)
       j16.resume = nullptr;
-    run_simd_group<Ops16>(j16, out, stripe16_, scratch16_, &profile16_);
+    run_simd_group<Ops16>(j16, out, stripe16_, scratch16_, profile16_);
     note_sweep<std::int16_t>(stats_);
   }
 
@@ -224,8 +227,8 @@ class AdaptiveEngineT final : public Engine {
   std::string name_;
   int stripe8_;
   int stripe16_;
-  SimdScratchT<std::uint8_t> scratch8_;
-  SimdScratchT<std::int16_t> scratch16_;
+  SimdScratchT<Ops8> scratch8_;
+  SimdScratchT<Ops16> scratch16_;
   QueryProfileT<std::uint8_t> profile8_;
   QueryProfileT<std::int16_t> profile16_;
   PrecisionStats stats_;

@@ -34,7 +34,8 @@
 //     limit — the largest value from which one more profile add provably
 //     cannot saturate (i16: 32766; u8: 255 - bias - max_score). Peaks above
 //     the limit are reported conservatively as saturated: the caller either
-//     re-runs the group at a wider precision (adaptive engines) or throws.
+//     re-runs the group at a wider precision (adaptive engines; their u8
+//     sweep stops at the first stripe boundary past the limit) or throws.
 //   * Unsigned u8 lanes (Farrar/SSW-style): profile entries carry
 //     bias = max(0, -min_score()), the H update is
 //     subs(adds(inner, e_biased), bias) = max(0, inner + score), and gap
@@ -53,6 +54,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -235,24 +237,26 @@ struct GenericOps8 {
   }
 };
 
-/// Scratch buffers reused across group alignments (one instance per engine;
-/// engines are single-threaded by contract).
-template <typename Elem>
+/// Scratch buffers reused across group alignments (one instance per engine
+/// and precision; engines are single-threaded by contract).
+template <class Ops>
 struct SimdScratchT {
+  using Elem = typename Ops::Elem;
   static_assert(std::is_integral_v<Elem> &&
                     (sizeof(Elem) == 1 || sizeof(Elem) == 2 ||
                      sizeof(Elem) == 4),
                 "SIMD scratch elements are u8, i16, or i32");
-  // The AVX2 kernels (16 x i16 and 32 x u8) issue 32-byte aligned loads on
-  // these rows; AlignedAllocator's cache-line alignment must cover that.
-  static_assert(util::kCacheLine % 32 == 0,
-                "scratch rows must satisfy 32-byte AVX2 vector loads");
+  // The kernel issues aligned loads of Ops::Vec (up to a 64-byte ZMM
+  // register) on these rows; AlignedAllocator's cache-line alignment must
+  // cover that.
+  static_assert(util::kCacheLine % alignof(typename Ops::Vec) == 0,
+                "scratch rows must satisfy the Ops vector's aligned loads");
   std::vector<Elem, util::AlignedAllocator<Elem>> h;
   std::vector<Elem, util::AlignedAllocator<Elem>> max_y;
   std::vector<Elem, util::AlignedAllocator<Elem>> carry_h;
   std::vector<Elem, util::AlignedAllocator<Elem>> carry_mx;
   /// Per-stripe diagonal entry vectors captured from a restored checkpoint
-  /// (one cache-line-aligned slot per stripe; see run_simd_group).
+  /// (one aligned slot per stripe; see run_simd_group).
   std::vector<Elem, util::AlignedAllocator<Elem>> resume_diag;
 };
 
@@ -262,8 +266,6 @@ template <typename V>
 inline void grow_to(V& v, std::size_t n) {
   if (v.size() < n) v.resize(n);
 }
-
-using SimdScratch = SimdScratchT<std::int16_t>;
 
 /// "Minus infinity" for the element type (i16 lanes rely on saturation).
 /// Unsigned lanes have no negatives: their gap maxima clamp at 0, which the
@@ -279,18 +281,139 @@ constexpr Elem neg_inf_of() {
   }
 }
 
-/// Sweeps one group. `profile` (optional for signed elements, REQUIRED for
-/// unsigned ones, which need the folded bias) replaces the per-cell exchange
-/// matrix lookup with one indexed profile load. `saturated` selects the
-/// saturation protocol: when null a saturating sweep throws (explicit
-/// fixed-precision engines); when non-null it is set to whether the sweep
-/// saturated — on saturation the sink is emptied (its rows were computed
-/// from possibly-clamped state and are uncertified) and the outputs are
-/// garbage the caller must discard by re-running at wider precision.
+#if defined(__GNUC__)
+#define REPRO_FORCE_INLINE inline __attribute__((always_inline))
+#else
+#define REPRO_FORCE_INLINE inline
+#endif
+
+/// What one DP row's column loop reads besides its carried vectors.
+template <class Ops>
+struct RowOperands {
+  using Elem = typename Ops::Elem;
+  using Vec = typename Ops::Vec;
+  Elem* h;                 ///< interleaved H, entry (c, k) at c*L + k
+  Elem* max_y;             ///< interleaved MaxY, same layout
+  const Elem* prow;        ///< profile row of residue seq[i], entry j
+  const Elem* colmask;     ///< colmask row c at colmask + c*L
+  const std::atomic<std::uint64_t>* obits;  ///< override words of row i, or null
+  int r0;
+  int i;                   ///< residue of this row (y - 1)
+  Vec open, ext, bias, peak_mask;
+};
+
+/// Vectors carried from column to column (and, for `peak`, across rows).
+template <class Ops>
+struct ColumnCarry {
+  typename Ops::Vec diag, mx, peak;
+};
+
+/// Sweeps columns [c_begin, c_end) of one DP row. Specialised on three
+/// facts the caller hoists out of the loop: the columns carry lane masks
+/// (c < count-1), the row is deep (y > r0, so garbage lanes are masked out
+/// of the saturation peak), and the override word `word` has bits to test.
+/// Every operand is copied into a local first: a u8 store may alias any
+/// memory, so fields read through a pointer would be reloaded per column.
+template <class Ops, bool kColMask, bool kPeakMask, bool kOverride>
+REPRO_FORCE_INLINE void sweep_columns(const RowOperands<Ops>& row,
+                                      int c_begin, int c_end,
+                                      std::uint64_t word,
+                                      ColumnCarry<Ops>& carry) {
+  constexpr int L = Ops::kLanes;
+  using Vec = typename Ops::Vec;
+  using Elem = typename Ops::Elem;
+  Elem* const h = row.h;
+  Elem* const max_y = row.max_y;
+  const Elem* const e_row = row.prow + row.r0;  // entry of column c at c
+  const Elem* const colmask = row.colmask;
+  const int bit0 = row.r0 - row.i - 1;  // override bit of column c: bit0 + c
+  const Vec open = row.open;
+  const Vec ext = row.ext;
+  [[maybe_unused]] const Vec bias = row.bias;
+  [[maybe_unused]] const Vec peak_mask = row.peak_mask;
+  const Vec zero = Ops::zero();
+  Vec diag = carry.diag;
+  Vec mx = carry.mx;
+  Vec peak = carry.peak;
+  for (int c = c_begin; c < c_end; ++c) {
+    Elem* const hp = h + static_cast<std::size_t>(c) * L;
+    Elem* const myp = max_y + static_cast<std::size_t>(c) * L;
+    const Vec up = Ops::load(hp);
+    const Vec my = Ops::load(myp);
+    const Vec inner = Ops::max(mx, Ops::max(my, diag));
+    const Vec e = Ops::set1(e_row[c]);
+    Vec hv;
+    if constexpr (!std::is_signed_v<Elem>) {
+      // inner >= 0 and the profile entry carries the bias, so
+      // subs(adds(inner, e+bias), bias) = max(0, inner + score) exactly
+      // whenever adds does not saturate (certified by the peak).
+      hv = Ops::subs(Ops::adds(inner, e), bias);
+    } else {
+      hv = Ops::max(zero, Ops::adds(e, inner));
+    }
+    if constexpr (kOverride) {
+      if (((word >> ((bit0 + c) & 63)) & 1) != 0) hv = zero;
+    }
+    if constexpr (kColMask)
+      hv = Ops::and_(hv, Ops::load(colmask + static_cast<std::size_t>(c) * L));
+    if constexpr (kPeakMask) {
+      peak = Ops::max(peak, Ops::and_(hv, peak_mask));
+    } else {
+      peak = Ops::max(peak, hv);
+    }
+    Ops::store(hp, hv);
+    const Vec gap_start = Ops::subs(diag, open);
+    mx = Ops::subs(Ops::max(gap_start, mx), ext);
+    Ops::store(myp, Ops::subs(Ops::max(gap_start, my), ext));
+    diag = up;
+  }
+  carry = {diag, mx, peak};
+}
+
+/// Sweeps columns [c_begin, c_end) of one DP row, testing override bits
+/// only where the row has any and only in 64-column chunks whose override
+/// word is non-zero. Columns with j <= i (garbage lane-cells of deep rows)
+/// have no bit: the triangle is strict.
+template <class Ops, bool kColMask, bool kPeakMask>
+REPRO_FORCE_INLINE void sweep_span(const RowOperands<Ops>& row, int c_begin,
+                                   int c_end, ColumnCarry<Ops>& carry) {
+  if (c_begin >= c_end) return;
+  if (row.obits == nullptr) {
+    sweep_columns<Ops, kColMask, kPeakMask, false>(row, c_begin, c_end, 0,
+                                                   carry);
+    return;
+  }
+  const int bit0 = row.r0 - row.i - 1;
+  int c = std::clamp(-bit0, c_begin, c_end);  // first column with j > i
+  sweep_columns<Ops, kColMask, kPeakMask, false>(row, c_begin, c, 0, carry);
+  while (c < c_end) {
+    const int b = bit0 + c;
+    const int next = std::min(c_end, c + 64 - (b & 63));
+    const std::uint64_t word =
+        row.obits[b >> 6].load(std::memory_order_relaxed);
+    if (word == 0) {
+      sweep_columns<Ops, kColMask, kPeakMask, false>(row, c, next, 0, carry);
+    } else {
+      sweep_columns<Ops, kColMask, kPeakMask, true>(row, c, next, word,
+                                                    carry);
+    }
+    c = next;
+  }
+}
+
+/// Sweeps one group. `profile` replaces the per-cell exchange-matrix lookup
+/// with one indexed load (unsigned elements need its folded bias and must
+/// get a feasible one). `saturated` selects the saturation protocol: when
+/// null a saturating sweep throws (explicit fixed-precision engines); when
+/// non-null it is set to whether the sweep saturated — the sweep then stops
+/// at the first stripe whose certified peak passes the limit, the sink is
+/// emptied (its rows were computed from possibly-clamped state and are
+/// uncertified) and the outputs are garbage the caller must discard by
+/// re-running at wider precision.
 template <class Ops>
 void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
-                    int stripe_cols, SimdScratchT<typename Ops::Elem>& scratch,
-                    const QueryProfileT<typename Ops::Elem>* profile = nullptr,
+                    int stripe_cols, SimdScratchT<Ops>& scratch,
+                    const QueryProfileT<typename Ops::Elem>& profile,
                     bool* saturated = nullptr) {
   constexpr int L = Ops::kLanes;
   using Vec = typename Ops::Vec;
@@ -303,23 +426,15 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
   const int count = job.count;
   const int width = m - r0;          // columns of the widest lane (lane 0)
   const int rows = r0 + count - 1;   // rows of the deepest lane
-  const seq::ScoreMatrix& ex = job.scoring->matrix;
   if constexpr (kUnsigned) {
     static_assert(Ops::kSaturating, "unsigned lanes must saturate");
-    REPRO_CHECK_MSG(profile != nullptr && profile->feasible(),
+    REPRO_CHECK_MSG(profile.feasible(),
                     "unsigned u8 kernels require a feasible biased query "
                     "profile (group r0=" << r0 << ")");
   }
-  const bool use_profile = profile != nullptr;
-  REPRO_CHECK(!use_profile || profile->width() == m);
-  const Vec v_open = Ops::set1(static_cast<Elem>(job.scoring->gap.open));
-  const Vec v_ext = Ops::set1(static_cast<Elem>(job.scoring->gap.extend));
-  const Vec v_zero = Ops::zero();
-  const Vec v_neg = Ops::set1(neg_inf_of<Elem>());
-  [[maybe_unused]] const Vec v_bias =
-      Ops::set1(static_cast<Elem>(use_profile ? profile->bias() : 0));
+  REPRO_CHECK(profile.width() == m);
 
-  // Mask tables, kept as aligned i16 so vectors of over-aligned register
+  // Mask tables, kept as aligned arrays so vectors of over-aligned register
   // types never land in (insufficiently aligned) std::vector storage.
   // colmask row c: lane k alive iff c >= k — masks the first count-1 columns.
   // deepmask row t-1 (t = y - r0 >= 1): lane k alive iff k >= t — masks
@@ -371,10 +486,14 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
     h.assign(state_elems, 0);
     max_y.assign(state_elems, neg_inf_of<Elem>());
   }
-  REPRO_DCHECK_MSG(util::is_vector_aligned(h.data()) &&
-                       util::is_vector_aligned(max_y.data()),
-                   "SIMD scratch rows must be 32-byte aligned");
+  REPRO_DCHECK_MSG(util::is_vector_aligned(h.data(), alignof(Vec)) &&
+                       util::is_vector_aligned(max_y.data(), alignof(Vec)),
+                   "SIMD scratch rows must be " << alignof(Vec)
+                                                << "-byte aligned");
   const bool resumed = y_begin > 1;
+  // Local copies: a u8 store may alias the vectors' own pointer fields.
+  Elem* const hbase = h.data();
+  Elem* const mybase = max_y.data();
 
   const int stripe = stripe_cols <= 0 ? width : stripe_cols;
   const bool striped = stripe < width;
@@ -385,12 +504,16 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
     grow_to(carry_h, static_cast<std::size_t>(rows + 1) * L);
     grow_to(carry_mx, static_cast<std::size_t>(rows + 1) * L);
   }
+  Elem* const carry_h_base = carry_h.data();
+  Elem* const carry_mx_base = carry_mx.data();
 
   // A restored stripe's first row needs the checkpoint's H at the column
   // left of the stripe as its diagonal, but earlier stripes overwrite h[]
-  // while they sweep — capture those vectors up front, one 64-byte slot per
-  // stripe so the aligned vector loads stay legal.
-  constexpr int kDiagSlot = static_cast<int>(util::kCacheLine / sizeof(Elem));
+  // while they sweep — capture those vectors up front, one slot per stripe,
+  // each a whole number of cache lines that holds a full lane vector so the
+  // aligned vector loads stay legal.
+  constexpr std::size_t kDiagSlot =
+      std::max(util::kCacheLine, L * sizeof(Elem)) / sizeof(Elem);
   auto& resume_diag = scratch.resume_diag;
   if (resumed && striped) {
     const int nstripes = (width + stripe - 1) / stripe;
@@ -398,7 +521,7 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
     for (int s = 1; s < nstripes; ++s)
       std::memcpy(
           resume_diag.data() + static_cast<std::size_t>(s) * kDiagSlot,
-          h.data() + (static_cast<std::size_t>(s) * stripe - 1) * L,
+          hbase + (static_cast<std::size_t>(s) * stripe - 1) * L,
           sizeof(Elem) * L);
   }
 
@@ -412,15 +535,49 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
     sink->prepare(y_begin, std::min(sink->top_row, r0 - 1), state_bytes);
   }
 
-  Vec v_peak = v_zero;  // running max of valid lane-cells (saturation guard)
+  // Certification limit: the largest peak from which one more adds input
+  // provably could not have saturated. Every adds operand is an H value
+  // <= peak, so peak <= limit proves no clamp occurred anywhere in the
+  // sweep; peak > limit is treated as saturated (conservatively — the
+  // adaptive driver just re-runs the group at wider precision).
+  //   i16: limit 32766 (a peak of 32767 is indistinguishable from a clamp)
+  //   u8:  limit 255 - bias - max_score (one biased profile add of slack)
   // Rows <= y_begin-1 were certified by the sweep that emitted the restored
-  // checkpoint (saturating sweeps throw before their checkpoints are kept).
+  // checkpoint (saturating sweeps never keep their checkpoints).
+  Vec v_peak = Ops::zero();  // running max of valid lane-cells
+  const auto first_saturated_lane = [&]() -> int {
+    if constexpr (Ops::kSaturating) {
+      Elem sat_limit;
+      if constexpr (kUnsigned) {
+        sat_limit = static_cast<Elem>(std::numeric_limits<Elem>::max() -
+                                      profile.bias() - profile.max_score());
+      } else {
+        sat_limit = static_cast<Elem>(std::numeric_limits<Elem>::max() - 1);
+      }
+      alignas(64) Elem peakbuf[L];
+      Ops::store(peakbuf, v_peak);
+      for (int k = 0; k < count; ++k)
+        if (peakbuf[k] > sat_limit) return k;
+    }
+    return -1;
+  };
+
+  RowOperands<Ops> row{};
+  row.h = hbase;
+  row.max_y = mybase;
+  row.colmask = colmask;
+  row.r0 = r0;
+  row.open = Ops::set1(static_cast<Elem>(job.scoring->gap.open));
+  row.ext = Ops::set1(static_cast<Elem>(job.scoring->gap.extend));
+  row.bias = Ops::set1(static_cast<Elem>(profile.bias()));
+  const int c_masked = count - 1;  // columns [0, count-1) carry lane masks
 
   for (int c0 = 0; c0 < width; c0 += stripe) {
     const int c1 = std::min(width, c0 + stripe);
+    const int c_split = std::clamp(c_masked, c0, c1);
     // Boundary row (y = 0) carry: H = 0, MaxX = -inf. Resumed stripes past
     // the first instead enter with the checkpoint's diagonal.
-    Vec old_carry_above = v_zero;
+    Vec old_carry_above = Ops::zero();
     if (resumed && c0 > 0)
       old_carry_above = Ops::load(
           resume_diag.data() +
@@ -428,64 +585,32 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
     int emit_idx = 0;
     for (int y = y_begin; y <= rows; ++y) {
       const int i = y - 1;
-      // One row pointer per DP row: the profile's pre-biased Elem row when a
-      // profile is cached, else the raw exchange-matrix row.
-      const Elem* prow =
-          use_profile ? profile->row(seq[static_cast<std::size_t>(i)]) : nullptr;
-      const std::int16_t* erow =
-          use_profile ? nullptr : ex.row(seq[static_cast<std::size_t>(i)]);
-      const std::atomic<std::uint64_t>* obits =
-          (job.overrides != nullptr && !job.overrides->row_empty(i))
-              ? job.overrides->row_bits(i)
-              : nullptr;
+      row.i = i;
+      row.prow = profile.row(seq[static_cast<std::size_t>(i)]);
+      row.obits = (job.overrides != nullptr && !job.overrides->row_empty(i))
+                      ? job.overrides->row_bits(i)
+                      : nullptr;
+      ColumnCarry<Ops> carry;
+      carry.diag = c0 == 0 ? Ops::zero() : old_carry_above;
+      carry.mx = c0 == 0 ? Ops::set1(neg_inf_of<Elem>())
+                         : Ops::load(carry_mx_base +
+                                     static_cast<std::size_t>(y) * L);
+      carry.peak = v_peak;
       const int deep = y - r0;  // > 0 in the last count-1 rows
-      const bool mask_peak = deep > 0;
-      const Vec v_peak_mask =
-          mask_peak ? Ops::load(deepmask + (deep - 1) * L) : v_zero;
-      Vec v_diag = c0 == 0 ? v_zero : old_carry_above;
-      Vec v_mx = c0 == 0
-                     ? v_neg
-                     : Ops::load(carry_mx.data() + static_cast<std::size_t>(y) * L);
-      for (int c = c0; c < c1; ++c) {
-        const int j = r0 + c;
-        Elem* hp = h.data() + static_cast<std::size_t>(c) * L;
-        Elem* myp = max_y.data() + static_cast<std::size_t>(c) * L;
-        const Vec v_up = Ops::load(hp);
-        const Vec v_my = Ops::load(myp);
-        const Vec v_inner = Ops::max(v_mx, Ops::max(v_my, v_diag));
-        const Vec v_e =
-            use_profile
-                ? Ops::set1(prow[static_cast<std::size_t>(j)])
-                : Ops::set1(static_cast<Elem>(
-                      erow[seq[static_cast<std::size_t>(j)]]));
-        Vec v_h;
-        if constexpr (kUnsigned) {
-          // inner >= 0 and the profile entry carries the bias, so
-          // subs(adds(inner, e+bias), bias) = max(0, inner + score) exactly
-          // whenever adds does not saturate (certified by the peak below).
-          v_h = Ops::subs(Ops::adds(v_inner, v_e), v_bias);
-        } else {
-          v_h = Ops::max(v_zero, Ops::adds(v_e, v_inner));
-        }
-        // Deep rows contain lane-cells with i >= j; the strict upper
-        // triangle has no bit for those, so the test is guarded.
-        if (obits != nullptr && j > i && override_bit(obits, i, j))
-          v_h = v_zero;
-        if (c < count - 1) v_h = Ops::and_(v_h, Ops::load(colmask + c * L));
-        v_peak =
-            Ops::max(v_peak, mask_peak ? Ops::and_(v_h, v_peak_mask) : v_h);
-        Ops::store(hp, v_h);
-        const Vec v_gap_start = Ops::subs(v_diag, v_open);
-        v_mx = Ops::subs(Ops::max(v_gap_start, v_mx), v_ext);
-        Ops::store(myp, Ops::subs(Ops::max(v_gap_start, v_my), v_ext));
-        v_diag = v_up;
+      if (deep > 0) {
+        row.peak_mask = Ops::load(deepmask + (deep - 1) * L);
+        sweep_span<Ops, true, true>(row, c0, c_split, carry);
+        sweep_span<Ops, false, true>(row, c_split, c1, carry);
+      } else {
+        sweep_span<Ops, true, false>(row, c0, c_split, carry);
+        sweep_span<Ops, false, false>(row, c_split, c1, carry);
       }
+      v_peak = carry.peak;
       if (striped) {
-        old_carry_above =
-            Ops::load(carry_h.data() + static_cast<std::size_t>(y) * L);
-        Ops::store(carry_h.data() + static_cast<std::size_t>(y) * L,
-                   Ops::load(h.data() + static_cast<std::size_t>(c1 - 1) * L));
-        Ops::store(carry_mx.data() + static_cast<std::size_t>(y) * L, v_mx);
+        Elem* const ch = carry_h_base + static_cast<std::size_t>(y) * L;
+        old_carry_above = Ops::load(ch);
+        Ops::store(ch, Ops::load(hbase + static_cast<std::size_t>(c1 - 1) * L));
+        Ops::store(carry_mx_base + static_cast<std::size_t>(y) * L, carry.mx);
       }
       // Extract lane k's bottom row when this is its last row.
       const int k = y - r0;
@@ -493,7 +618,8 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
         auto row_out = out[static_cast<std::size_t>(k)];
         for (int c = std::max(c0, k); c < c1; ++c)
           row_out[static_cast<std::size_t>(c - k)] = static_cast<Score>(
-              h[static_cast<std::size_t>(c) * L + static_cast<std::size_t>(k)]);
+              hbase[static_cast<std::size_t>(c) * L +
+                    static_cast<std::size_t>(k)]);
         if constexpr (check::kContractsEnabled) {
           for (int c = std::max(c0, k); c < c1; ++c)
             REPRO_DCHECK_MSG(row_out[static_cast<std::size_t>(c - k)] >= 0,
@@ -510,9 +636,9 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
         const std::size_t len =
             static_cast<std::size_t>(c1 - c0) * L * sizeof(Elem);
         std::memcpy(cr.h.data() + off,
-                    h.data() + static_cast<std::size_t>(c0) * L, len);
+                    hbase + static_cast<std::size_t>(c0) * L, len);
         std::memcpy(cr.max_y.data() + off,
-                    max_y.data() + static_cast<std::size_t>(c0) * L, len);
+                    mybase + static_cast<std::size_t>(c0) * L, len);
         if constexpr (check::kContractsEnabled && !kUnsigned) {
           // The emitted slice must satisfy the same non-negativity the
           // resume path asserts before re-entering the sweep. (Unsigned
@@ -520,49 +646,32 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
           for (int c = c0; c < c1; ++c)
             for (int k2 = 0; k2 < L; ++k2)
               REPRO_DCHECK_MSG(
-                  h[static_cast<std::size_t>(c) * L +
-                    static_cast<std::size_t>(k2)] >= 0,
+                  hbase[static_cast<std::size_t>(c) * L +
+                        static_cast<std::size_t>(k2)] >= 0,
                   "negative H in emitted checkpoint row " << y);
         }
         ++emit_idx;
       }
     }
+    // A reporting sweep stops at the first stripe whose peak passes the
+    // limit: the peak only grows, so the end-of-sweep check could only
+    // agree, and an escalating group skips the rest of a wasted sweep.
+    if (saturated != nullptr && first_saturated_lane() >= 0) {
+      *saturated = true;
+      if (sink != nullptr) sink->count = 0;
+      return;
+    }
   }
 
-  if constexpr (Ops::kSaturating) {
-    // Certification limit: the largest peak from which one more adds input
-    // provably could not have saturated. Every adds operand is an H value
-    // <= peak, so peak <= limit proves no clamp occurred anywhere in the
-    // sweep; peak > limit is treated as saturated (conservatively — the
-    // adaptive driver just re-runs the group at wider precision).
-    //   i16: limit 32766 (a peak of 32767 is indistinguishable from a clamp)
-    //   u8:  limit 255 - bias - max_score (one biased profile add of slack)
-    Elem sat_limit;
-    if constexpr (kUnsigned) {
-      sat_limit = static_cast<Elem>(std::numeric_limits<Elem>::max() -
-                                    profile->bias() - profile->max_score());
-    } else {
-      sat_limit = static_cast<Elem>(std::numeric_limits<Elem>::max() - 1);
-    }
-    alignas(64) Elem peakbuf[L];
-    Ops::store(peakbuf, v_peak);
-    for (int k = 0; k < count; ++k) {
-      if (peakbuf[k] <= sat_limit) continue;
-      if (saturated != nullptr) {
-        *saturated = true;
-        // The staged checkpoint rows were computed from possibly-clamped
-        // state; only certified rows may reach the cache.
-        if (sink != nullptr) sink->count = 0;
-        return;
-      }
-      REPRO_CHECK_MSG(false,
-                      (kUnsigned ? "u8" : "i16")
-                          << " SIMD lane saturated (split r=" << r0 + k
-                          << "); use an adaptive or wider engine for this "
-                             "input");
-    }
+  if (saturated != nullptr) {
+    *saturated = false;
+    return;
   }
-  if (saturated != nullptr) *saturated = false;
+  const int k = first_saturated_lane();
+  REPRO_CHECK_MSG(k < 0, (kUnsigned ? "u8" : "i16")
+                             << " SIMD lane saturated (split r=" << r0 + k
+                             << "); use an adaptive or wider engine for this "
+                                "input");
 }
 
 }  // namespace repro::align::detail

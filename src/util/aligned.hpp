@@ -1,9 +1,9 @@
 // Cache-line / SIMD-register aligned storage.
 //
 // The interleaved SIMD matrices (Fig. 7 of the paper) require 16-byte
-// (SSE2) or 32-byte (AVX2) aligned rows; we align everything to 64 bytes so
-// rows never straddle cache lines, which also serves the paper's
-// cache-awareness discussion (§4.1).
+// (SSE2), 32-byte (AVX2) or 64-byte (AVX-512) aligned rows; we align
+// everything to 64 bytes so rows never straddle cache lines, which also
+// serves the paper's cache-awareness discussion (§4.1).
 #pragma once
 
 #include <cstddef>
@@ -16,16 +16,17 @@ namespace repro::util {
 inline constexpr std::size_t kCacheLine = 64;
 
 // The widest vector any engine loads from allocator-backed storage is a
-// 32-byte AVX2 register (both the 16 x i16 and 32 x u8 kernels); the i8
-// scratch therefore needs 32-byte alignment, not just the 16 bytes the SSE2
-// i16 kernels require. Cache-line alignment covers both with room to spare.
-static_assert(kCacheLine % 32 == 0,
-              "aligned storage must satisfy 32-byte AVX2 vector loads");
+// 64-byte AVX-512 register (the one-register i16 rung of the adaptive
+// engine); the narrower kernels need 16 (SSE2) or 32 (AVX2) bytes.
+// Cache-line alignment covers all of them.
+static_assert(kCacheLine % 64 == 0,
+              "aligned storage must satisfy 64-byte ZMM vector loads");
 
-/// True when `p` satisfies the alignment of the widest supported vector;
-/// kernels assert this on their scratch rows before issuing aligned loads.
-inline bool is_vector_aligned(const void* p) {
-  return reinterpret_cast<std::uintptr_t>(p) % 32 == 0;
+/// True when `p` is aligned to `align` bytes (by default the widest vector
+/// any engine loads); kernels assert this on their scratch rows, with their
+/// own vector's alignment, before issuing aligned loads.
+inline bool is_vector_aligned(const void* p, std::size_t align = kCacheLine) {
+  return reinterpret_cast<std::uintptr_t>(p) % align == 0;
 }
 
 /// Minimal std::allocator replacement with 64-byte alignment.

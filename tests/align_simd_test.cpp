@@ -1,8 +1,10 @@
-// Equivalence of every SIMD engine with the scalar reference, across group
-// widths, stripe widths, overrides, and partial final groups — plus the i16
-// saturation guard.
+// Equivalence of every SIMD engine (and every adaptive engine the host
+// runs) with the scalar reference, across group widths, stripe widths,
+// overrides, and partial final groups — plus the i16 saturation guard.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <tuple>
 
 #include "align/engine.hpp"
@@ -124,6 +126,70 @@ std::vector<std::tuple<EngineKind, int>> make_params() {
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, SimdEquivalence,
                          ::testing::ValuesIn(make_params()), param_name);
+
+// Every adaptive engine the host can run (auto reaches only the widest),
+// across the same stripe widths, plus a saturating input with dense
+// overrides: escalation, the early exit of u8 sweeps at stripe boundaries
+// and the per-word override chunks all meet there.
+class AdaptiveSimdEquivalence
+    : public ::testing::TestWithParam<std::tuple<AdaptiveIsa, int>> {
+ protected:
+  void SetUp() override {
+    testing::skip_unless_available(std::get<0>(GetParam()));
+  }
+  [[nodiscard]] std::unique_ptr<Engine> engine() const {
+    const auto [isa, stripe] = GetParam();
+    return make_adaptive_engine(isa, stripe);
+  }
+};
+
+TEST_P(AdaptiveSimdEquivalence, MatchesScalarOnRepeatProtein) {
+  const auto g = seq::synthetic_titin(220, 77);
+  expect_engine_matches_scalar(*engine(), g.sequence,
+                               Scoring::protein_default(), nullptr);
+}
+
+TEST_P(AdaptiveSimdEquivalence, MatchesScalarWithOverrides) {
+  const auto g = seq::synthetic_dna_tandem(150, 10, 6, 99);
+  util::Rng rng(1234);
+  OverrideTriangle tri(g.sequence.length());
+  testing::random_overrides(g.sequence.length(), 400, rng, &tri);
+  expect_engine_matches_scalar(*engine(), g.sequence, Scoring::paper_example(),
+                               &tri);
+}
+
+TEST_P(AdaptiveSimdEquivalence, MatchesScalarOnSaturatingInputWithOverrides) {
+  // 95 %-conserved tandem protein repeats pass the u8 ceiling (blosum62:
+  // 255 - 4 - 11 = 240) in most groups.
+  seq::RepeatSpec spec;
+  spec.unit_length = 24;
+  spec.copies = 8;
+  spec.conservation = 0.95;
+  spec.indel_rate = 0.0;
+  spec.tandem = true;
+  const auto g =
+      seq::make_repeat_sequence(Alphabet::protein(), 240, spec, 22);
+  util::Rng rng(4321);
+  OverrideTriangle tri(g.sequence.length());
+  testing::random_overrides(g.sequence.length(), 600, rng, &tri);
+  const auto e = engine();
+  expect_engine_matches_scalar(*e, g.sequence, Scoring::protein_default(),
+                               &tri);
+  EXPECT_GT(e->precision_stats().escalations, 0u) << e->name();
+}
+
+std::string adaptive_param_name(
+    const ::testing::TestParamInfo<std::tuple<AdaptiveIsa, int>>& info) {
+  const auto [isa, stripe] = info.param;
+  return testing::adaptive_isa_label(isa) + "_stripe" +
+         (stripe < 0 ? "none" : std::to_string(stripe));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PerIsa, AdaptiveSimdEquivalence,
+    ::testing::Combine(::testing::ValuesIn(testing::all_adaptive_isas()),
+                       ::testing::Values(-1, 5, 33, 0)),
+    adaptive_param_name);
 
 TEST(SimdEngine, PartialFinalGroupAndSingleLane) {
   // count < lanes exercises the column masks; count == 1 the degenerate

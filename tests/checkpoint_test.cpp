@@ -13,11 +13,14 @@
 #include "align/checkpoint_cache.hpp"
 #include "align/engine.hpp"
 #include "align/override_triangle.hpp"
+#include "align/query_profile.hpp"
+#include "align/simd_kernel.hpp"
 #include "core/top_alignment_finder.hpp"
 #include "core/verify.hpp"
 #include "parallel/parallel_finder.hpp"
 #include "seq/generator.hpp"
 #include "seq/scoring.hpp"
+#include "test_support.hpp"
 #include "util/rng.hpp"
 
 namespace repro {
@@ -30,6 +33,7 @@ using align::CheckpointView;
 using align::PairDirtyIndex;
 using align::Score;
 using core::FinderOptions;
+using testing::align_group;
 
 // ---------------------------------------------------------------------------
 // PairDirtyIndex
@@ -203,121 +207,185 @@ CheckpointView view_of(const CheckpointSink& sink, int index) {
   return view;
 }
 
-/// Sweeps a group with `resume` (nullptr = from scratch), returning the
-/// bottom rows; `sink` (optional) collects checkpoints.
-std::vector<std::vector<Score>> sweep(align::Engine& engine,
-                                      const seq::Sequence& s,
-                                      const seq::Scoring& scoring,
-                                      const align::OverrideTriangle* triangle,
-                                      int r0, int count,
-                                      const CheckpointView* resume,
-                                      CheckpointSink* sink) {
-  align::GroupJob job;
-  job.seq = s.codes();
-  job.scoring = &scoring;
-  job.overrides = triangle;
-  job.r0 = r0;
-  job.count = count;
-  job.resume = resume;
-  job.sink = sink;
-  const int m = s.length();
-  std::vector<std::vector<Score>> rows(static_cast<std::size_t>(count));
-  std::vector<std::span<Score>> outs(static_cast<std::size_t>(count));
-  for (int k = 0; k < count; ++k) {
-    rows[static_cast<std::size_t>(k)].resize(
-        static_cast<std::size_t>(m - (r0 + k)));
-    outs[static_cast<std::size_t>(k)] = rows[static_cast<std::size_t>(k)];
+/// Sweeps one group of `s` from scratch while emitting checkpoints on a
+/// `stride` grid, then resumes from each one (empty triangle, so every depth
+/// is valid) and demands the scratch bottom rows exactly.
+void expect_resume_from_every_depth(align::Engine& engine,
+                                    const seq::Sequence& s,
+                                    const seq::Scoring& scoring, int r0,
+                                    int stride) {
+  const int count = engine.lanes();
+  CheckpointSink sink;
+  sink.stride = stride;
+  sink.top_row = r0 - 1;
+  const auto scratch =
+      align_group(engine, s, scoring, nullptr, r0, count, nullptr, &sink);
+  ASSERT_GT(sink.count, 1) << engine.name();
+  for (int t = 0; t < sink.count; ++t) {
+    const CheckpointView view = view_of(sink, t);
+    const auto resumed =
+        align_group(engine, s, scoring, nullptr, r0, count, &view, nullptr);
+    EXPECT_EQ(resumed, scratch)
+        << engine.name() << " resumed from row " << view.row;
   }
-  engine.align(job, outs);
-  return rows;
 }
 
 TEST(CheckpointKernel, ResumeFromEveryDepthMatchesScratch) {
-  // A plain sweep emits checkpoints on a fine grid; resuming from each one
-  // (empty triangle, so every depth is valid) must reproduce the scratch
-  // bottom rows exactly.
   const auto g = seq::synthetic_titin(160, 7);
   const seq::Scoring scoring = seq::Scoring::protein_default();
   for (const auto kind : checkpoint_engine_kinds()) {
     const auto engine = align::make_engine(kind);
-    const int count = engine->lanes();
-    const int r0 = 90;
-    CheckpointSink sink;
-    sink.stride = 11;
-    sink.top_row = r0 - 1;
-    const auto scratch =
-        sweep(*engine, g.sequence, scoring, nullptr, r0, count, nullptr, &sink);
-    ASSERT_GT(sink.count, 1) << engine->name();
-    for (int t = 0; t < sink.count; ++t) {
-      const CheckpointView view = view_of(sink, t);
-      const auto resumed = sweep(*engine, g.sequence, scoring, nullptr, r0,
-                                 count, &view, nullptr);
-      EXPECT_EQ(resumed, scratch)
-          << engine->name() << " resumed from row " << view.row;
+    expect_resume_from_every_depth(*engine, g.sequence, scoring, 90, 11);
+  }
+}
+
+/// Rounds of random triangle growth; each round realigns from scratch and
+/// resumed from the deepest still-clean checkpoint of the previous round.
+void expect_triangle_growth_resume_equals_scratch(align::Engine& engine) {
+  const seq::Scoring protein = seq::Scoring::protein_default();
+  const seq::Scoring dna = seq::Scoring::paper_example();
+  for (int seed = 0; seed < 6; ++seed) {
+    util::Rng rng(900 + static_cast<std::uint64_t>(seed));
+    const bool use_dna = rng.chance(0.5);
+    const int m = 100 + static_cast<int>(rng.below(50));
+    const seq::Sequence s =
+        use_dna ? seq::synthetic_dna_tandem(m, 9, 5,
+                                            100 + static_cast<std::uint64_t>(seed))
+                      .sequence
+                : seq::synthetic_titin(m, 200 + static_cast<std::uint64_t>(seed))
+                      .sequence;
+    const seq::Scoring& scoring = use_dna ? dna : protein;
+    const int count = engine.lanes();
+    const int r0 =
+        2 + static_cast<int>(rng.below(
+                static_cast<std::uint64_t>(std::max(1, m - count - 3))));
+    align::OverrideTriangle triangle(m);
+
+    CheckpointSink staged;  // plays the cache: last scratch sweep's rows
+    staged.stride = 1 + static_cast<int>(rng.below(9));
+    staged.top_row = r0 - 1;
+    align_group(engine, s, scoring, &triangle, r0, count, nullptr, &staged);
+
+    for (int round = 0; round < 4; ++round) {
+      // Grow the triangle with random pairs reaching this group (j >= r0).
+      std::vector<std::pair<int, int>> pairs;
+      const int n = 1 + static_cast<int>(rng.below(3));
+      for (int t = 0; t < n; ++t) {
+        const int j =
+            r0 + static_cast<int>(rng.below(static_cast<std::uint64_t>(m - r0)));
+        const int i = static_cast<int>(rng.below(static_cast<std::uint64_t>(j)));
+        pairs.emplace_back(i, j);
+        triangle.set(i, j);
+      }
+      const PairDirtyIndex dirty{
+          std::span<const std::pair<int, int>>(pairs)};
+      staged.drop_from(dirty.min_dirty_row(r0));  // invalidate stale rows
+
+      CheckpointSink fresh;
+      fresh.stride = staged.stride;
+      fresh.top_row = r0 - 1;
+      const auto scratch = align_group(engine, s, scoring, &triangle, r0,
+                                       count, nullptr, &fresh);
+      if (staged.count > 0) {
+        const CheckpointView view = view_of(staged, staged.count - 1);
+        const auto resumed = align_group(engine, s, scoring, &triangle, r0,
+                                         count, &view, nullptr);
+        EXPECT_EQ(resumed, scratch)
+            << engine.name() << " seed " << seed << " round " << round
+            << " resumed from row " << view.row;
+      }
+      staged = std::move(fresh);
     }
   }
 }
 
 TEST(CheckpointKernel, TriangleGrowthFuzzResumedEqualsScratch) {
-  // Rounds of random triangle growth; each round realigns from scratch and
-  // resumed from the deepest still-clean checkpoint of the previous round.
-  const seq::Scoring protein = seq::Scoring::protein_default();
-  const seq::Scoring dna = seq::Scoring::paper_example();
   for (const auto kind : checkpoint_engine_kinds()) {
     const auto engine = align::make_engine(kind);
-    for (int seed = 0; seed < 6; ++seed) {
-      util::Rng rng(900 + static_cast<std::uint64_t>(seed));
-      const bool use_dna = rng.chance(0.5);
-      const int m = 100 + static_cast<int>(rng.below(50));
-      const seq::Sequence s =
-          use_dna ? seq::synthetic_dna_tandem(m, 9, 5,
-                                              100 + static_cast<std::uint64_t>(seed))
-                        .sequence
-                  : seq::synthetic_titin(m, 200 + static_cast<std::uint64_t>(seed))
-                        .sequence;
-      const seq::Scoring& scoring = use_dna ? dna : protein;
-      const int count = engine->lanes();
-      const int r0 =
-          2 + static_cast<int>(rng.below(
-                  static_cast<std::uint64_t>(std::max(1, m - count - 3))));
-      align::OverrideTriangle triangle(m);
+    expect_triangle_growth_resume_equals_scratch(*engine);
+  }
+}
 
-      CheckpointSink staged;  // plays the cache: last scratch sweep's rows
-      staged.stride = 1 + static_cast<int>(rng.below(9));
-      staged.top_row = r0 - 1;
-      sweep(*engine, s, scoring, &triangle, r0, count, nullptr, &staged);
+// The same contracts for every adaptive engine the host can run (auto only
+// reaches the widest), plus a group that escalates under fine striping: its
+// aborted u8 attempt must leave no u8 rows behind, only the i16 re-run's.
+using AdaptiveCheckpoint = testing::AdaptiveIsaTest;
 
-      for (int round = 0; round < 4; ++round) {
-        // Grow the triangle with random pairs reaching this group (j >= r0).
-        std::vector<std::pair<int, int>> pairs;
-        const int n = 1 + static_cast<int>(rng.below(3));
-        for (int t = 0; t < n; ++t) {
-          const int j =
-              r0 + static_cast<int>(rng.below(static_cast<std::uint64_t>(m - r0)));
-          const int i = static_cast<int>(rng.below(static_cast<std::uint64_t>(j)));
-          pairs.emplace_back(i, j);
-          triangle.set(i, j);
-        }
-        const PairDirtyIndex dirty{
-            std::span<const std::pair<int, int>>(pairs)};
-        staged.drop_from(dirty.min_dirty_row(r0));  // invalidate stale rows
+TEST_P(AdaptiveCheckpoint, ResumeFromEveryDepthMatchesScratch) {
+  const auto g = seq::synthetic_titin(160, 7);
+  expect_resume_from_every_depth(*engine(), g.sequence,
+                                 seq::Scoring::protein_default(), 90, 11);
+}
 
-        CheckpointSink fresh;
-        fresh.stride = staged.stride;
-        fresh.top_row = r0 - 1;
-        const auto scratch =
-            sweep(*engine, s, scoring, &triangle, r0, count, nullptr, &fresh);
-        if (staged.count > 0) {
-          const CheckpointView view = view_of(staged, staged.count - 1);
-          const auto resumed = sweep(*engine, s, scoring, &triangle, r0, count,
-                                     &view, nullptr);
-          EXPECT_EQ(resumed, scratch)
-              << engine->name() << " seed " << seed << " round " << round
-              << " resumed from row " << view.row;
-        }
-        staged = std::move(fresh);
-      }
+TEST_P(AdaptiveCheckpoint, TriangleGrowthFuzzResumedEqualsScratch) {
+  expect_triangle_growth_resume_equals_scratch(*engine());
+}
+
+TEST_P(AdaptiveCheckpoint, EscalatedGroupKeepsOnlyI16Checkpoints) {
+  // All-A DNA, m = 254: only split 127 passes the u8 ceiling (254 > 252),
+  // and only in its last column, so the u8 attempt aborts at its last stripe
+  // boundary after staging every u8 row.
+  const seq::Sequence s = seq::Sequence::from_string(
+      "homopoly", std::string(254, 'A'), seq::Alphabet::dna());
+  const seq::Scoring scoring = seq::Scoring::paper_example();
+  const auto striped = engine(10);
+  const int r0 = 127 - striped->lanes() / 2;
+  expect_resume_from_every_depth(*striped, s, scoring, r0, 9);
+  CheckpointSink sink;
+  sink.stride = 9;
+  sink.top_row = r0 - 1;
+  const auto fresh = engine(10);
+  align_group(*fresh, s, scoring, nullptr, r0, fresh->lanes(), nullptr, &sink);
+  EXPECT_EQ(fresh->precision_stats().escalations, 1u);
+  EXPECT_EQ(sink.elem_size, 2);
+  EXPECT_EQ(sink.count, (r0 - 1) / 9 + ((r0 - 1) % 9 != 0 ? 1 : 0));
+}
+
+INSTANTIATE_TEST_SUITE_P(PerIsa, AdaptiveCheckpoint,
+                         ::testing::ValuesIn(testing::all_adaptive_isas()),
+                         testing::adaptive_isa_param_name);
+
+TEST(CheckpointKernel, WideVectorResumesAcrossStripes) {
+  // A resumed, striped sweep parks each stripe's entry diagonal in its own
+  // scratch slot. With 32 i32 lanes one vector is 128 bytes, twice a cache
+  // line: slots sized by the cache line alone would overlap, and every
+  // stripe past the first would resume from its neighbour's diagonal.
+  using Ops = align::detail::GenericOps32<32>;
+  const auto g = seq::synthetic_titin(160, 7);
+  const seq::Scoring scoring = seq::Scoring::protein_default();
+  align::PrecisionStats stats;
+  align::QueryProfileT<Score> profile;
+  profile.ensure(g.sequence.codes(), scoring, stats);
+  align::detail::SimdScratchT<Ops> scratch;
+  const int r0 = 90;
+  const auto sweep_group = [&](const CheckpointView* resume,
+                               CheckpointSink* sink) {
+    align::GroupJob job;
+    job.seq = g.sequence.codes();
+    job.scoring = &scoring;
+    job.r0 = r0;
+    job.count = Ops::kLanes;
+    job.resume = resume;
+    job.sink = sink;
+    std::vector<std::vector<Score>> rows(Ops::kLanes);
+    std::vector<std::span<Score>> outs;
+    for (int k = 0; k < Ops::kLanes; ++k) {
+      rows[static_cast<std::size_t>(k)].resize(
+          static_cast<std::size_t>(g.sequence.length() - (r0 + k)));
+      outs.emplace_back(rows[static_cast<std::size_t>(k)]);
     }
+    align::detail::run_simd_group<Ops>(job, outs, 7, scratch, profile);
+    return rows;
+  };
+  CheckpointSink sink;
+  sink.stride = 13;
+  sink.top_row = r0 - 1;
+  const auto scratch_rows = sweep_group(nullptr, &sink);
+  ASSERT_GT(sink.count, 1);
+  for (int t = 0; t < sink.count; ++t) {
+    const CheckpointView view = view_of(sink, t);
+    EXPECT_EQ(sweep_group(&view, nullptr), scratch_rows)
+        << "resumed from row " << view.row;
   }
 }
 
@@ -336,13 +404,14 @@ TEST(CheckpointKernel, U8ResumeFromEveryDepthMatchesScratch) {
     sink.stride = 7;
     sink.top_row = r0 - 1;
     const auto scratch =
-        sweep(*engine, g.sequence, scoring, nullptr, r0, count, nullptr, &sink);
+        align_group(*engine, g.sequence, scoring, nullptr, r0, count, nullptr,
+                    &sink);
     ASSERT_GT(sink.count, 1) << engine->name();
     EXPECT_EQ(sink.elem_size, 1) << engine->name();
     for (int t = 0; t < sink.count; ++t) {
       const CheckpointView view = view_of(sink, t);
-      const auto resumed = sweep(*engine, g.sequence, scoring, nullptr, r0,
-                                 count, &view, nullptr);
+      const auto resumed = align_group(*engine, g.sequence, scoring, nullptr,
+                                       r0, count, &view, nullptr);
       EXPECT_EQ(resumed, scratch)
           << engine->name() << " resumed from row " << view.row;
     }
@@ -371,7 +440,7 @@ TEST(CheckpointKernel, U8TriangleGrowthFuzzResumedEqualsScratch) {
       CheckpointSink staged;
       staged.stride = 1 + static_cast<int>(rng.below(9));
       staged.top_row = r0 - 1;
-      sweep(*engine, s, dna, &triangle, r0, count, nullptr, &staged);
+      align_group(*engine, s, dna, &triangle, r0, count, nullptr, &staged);
 
       for (int round = 0; round < 4; ++round) {
         std::vector<std::pair<int, int>> pairs;
@@ -391,11 +460,13 @@ TEST(CheckpointKernel, U8TriangleGrowthFuzzResumedEqualsScratch) {
         fresh.stride = staged.stride;
         fresh.top_row = r0 - 1;
         const auto scratch =
-            sweep(*engine, s, dna, &triangle, r0, count, nullptr, &fresh);
+            align_group(*engine, s, dna, &triangle, r0, count, nullptr,
+                        &fresh);
         if (staged.count > 0) {
           const CheckpointView view = view_of(staged, staged.count - 1);
           const auto resumed =
-              sweep(*engine, s, dna, &triangle, r0, count, &view, nullptr);
+              align_group(*engine, s, dna, &triangle, r0, count, &view,
+                          nullptr);
           EXPECT_EQ(resumed, scratch)
               << engine->name() << " seed " << seed << " round " << round
               << " resumed from row " << view.row;
@@ -430,9 +501,10 @@ TEST(CheckpointFinder, CacheOnMatchesCacheOffAcrossEnginesAndMemoryModes) {
           << e1->name() << " memory mode "
           << (memory == core::MemoryMode::kArchiveRows ? "archive" : "recompute")
           << ": " << diff;
-      if (b.stats.realignments > 0)  // every realignment sweep did a lookup
+      if (b.stats.realignments > 0) {  // every realignment sweep did a lookup
         EXPECT_GT(b.stats.ckpt_hits + b.stats.ckpt_misses, 0u)
             << e1->name();
+      }
       EXPECT_EQ(a.stats.ckpt_hits, 0u);
       EXPECT_EQ(a.stats.rows_skipped, 0u);
     }

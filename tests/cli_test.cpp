@@ -47,6 +47,10 @@ TEST(Cli, InfoListsEngines) {
   EXPECT_EQ(r.status, 0) << r.out;
   EXPECT_NE(r.out.find("scalar"), std::string::npos);
   EXPECT_NE(r.out.find("default engine"), std::string::npos);
+  // Every adaptive rung is listed, available on this host or not.
+  for (const char* rung : {"auto-sse2", "auto-avx2", "auto-avx512",
+                           "auto-generic"})
+    EXPECT_NE(r.out.find(rung), std::string::npos) << rung;
 }
 
 TEST(Cli, NoArgsPrintsUsage) {

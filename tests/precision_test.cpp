@@ -1,7 +1,8 @@
 // Adaptive-precision SIMD: headroom boundaries (bias-aware, the
 // check_i16_headroom regression), saturation certification at the exact u8
-// ceiling, transparent i8 -> i16 escalation matching the scalar oracle, and
-// query-profile reuse across runs and parallel partitions.
+// ceiling, transparent i8 -> i16 escalation matching the scalar oracle on
+// every adaptive engine the host runs, the early exit of saturating u8
+// sweeps, and query-profile reuse across runs and parallel partitions.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -10,12 +11,14 @@
 
 #include "align/engine.hpp"
 #include "align/query_profile.hpp"
+#include "align/simd_kernel.hpp"
 #include "core/top_alignment_finder.hpp"
 #include "core/verify.hpp"
 #include "parallel/parallel_finder.hpp"
 #include "seq/generator.hpp"
 #include "seq/scoring.hpp"
 #include "seq/sequence.hpp"
+#include "test_support.hpp"
 #include "util/aligned.hpp"
 
 namespace repro {
@@ -242,6 +245,181 @@ TEST(PrecisionAdaptive, ParallelAutoMatchesSequentialAndSumsStats) {
 }
 
 // ---------------------------------------------------------------------------
+// Every adaptive engine the host runs (make_engine(kSimdAuto) reaches only
+// the widest one): lossless escalation and in-range u8 sweeps
+
+using AdaptivePrecision = testing::AdaptiveIsaTest;
+
+TEST_P(AdaptivePrecision, PastCeilingEscalatesAndMatchesScalar) {
+  const seq::Sequence s = homopolymer(254);
+  const seq::Scoring dna = seq::Scoring::paper_example();
+  FinderOptions opt;
+  opt.num_top_alignments = 2;
+  const auto scalar = align::make_engine(EngineKind::kScalar);
+  const auto reference = find_top_alignments(s, dna, opt, *scalar);
+  const auto e = engine();
+  const auto res = find_top_alignments(s, dna, opt, *e);
+  std::string diff;
+  EXPECT_TRUE(core::same_tops(reference.tops, res.tops, &diff)) << diff;
+  EXPECT_GT(e->precision_stats().escalations, 0u);
+}
+
+TEST_P(AdaptivePrecision, EscalatesOnProteinAndMatchesScalar) {
+  const auto g = saturating_protein(22);
+  const seq::Scoring protein = seq::Scoring::protein_default();
+  FinderOptions opt;
+  opt.num_top_alignments = 6;
+  const auto scalar = align::make_engine(EngineKind::kScalar);
+  const auto reference = find_top_alignments(g.sequence, protein, opt, *scalar);
+  const auto e = engine();
+  const auto res = find_top_alignments(g.sequence, protein, opt, *e);
+  std::string diff;
+  EXPECT_TRUE(core::same_tops(reference.tops, res.tops, &diff)) << diff;
+  const auto stats = e->precision_stats();
+  EXPECT_GT(stats.escalations, 0u);
+  EXPECT_EQ(res.stats.precision_escalations, stats.escalations);
+  EXPECT_EQ(res.stats.i8_sweeps, stats.i8_sweeps);
+  EXPECT_EQ(res.stats.i16_sweeps, stats.i16_sweeps);
+}
+
+TEST_P(AdaptivePrecision, StaysI8InRange) {
+  const auto s = seq::random_sequence(seq::Alphabet::dna(), 120, 24);
+  FinderOptions opt;
+  opt.num_top_alignments = 5;
+  const auto scalar = align::make_engine(EngineKind::kScalar);
+  const seq::Scoring dna = seq::Scoring::paper_example();
+  const auto reference = find_top_alignments(s, dna, opt, *scalar);
+  const auto e = engine();
+  const auto res = find_top_alignments(s, dna, opt, *e);
+  std::string diff;
+  EXPECT_TRUE(core::same_tops(reference.tops, res.tops, &diff)) << diff;
+  EXPECT_EQ(e->precision_stats().escalations, 0u);
+  EXPECT_EQ(e->precision_stats().i16_sweeps, 0u);
+}
+
+TEST_P(AdaptivePrecision, GroupSaturatingInLastStripeEscalatesOnce) {
+  // Split 127 of an all-A m = 254 passes the u8 ceiling (254 > 252) only in
+  // its last column; under 10-column stripes the u8 attempt must still be
+  // caught at its final stripe boundary, and the re-run must equal scalar.
+  const seq::Sequence s = homopolymer(254);
+  const seq::Scoring dna = seq::Scoring::paper_example();
+  const auto e = engine(10);
+  const int r0 = 127 - e->lanes() / 2;
+  const auto rows =
+      testing::align_group(*e, s, dna, nullptr, r0, e->lanes());
+  const auto scalar = align::make_engine(EngineKind::kScalar);
+  for (int k = 0; k < e->lanes(); ++k)
+    EXPECT_EQ(rows[static_cast<std::size_t>(k)],
+              scalar->align_one(testing::make_job(s, r0 + k, dna)))
+        << "lane " << k;
+  EXPECT_EQ(e->precision_stats().i8_sweeps, 1u);
+  EXPECT_EQ(e->precision_stats().escalations, 1u);
+  EXPECT_EQ(e->precision_stats().i16_sweeps, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(PerIsa, AdaptivePrecision,
+                         ::testing::ValuesIn(testing::all_adaptive_isas()),
+                         testing::adaptive_isa_param_name);
+
+// ---------------------------------------------------------------------------
+// Early exit of saturating u8 sweeps (kernel protocol, portable lanes)
+
+class SaturatingSweep : public ::testing::Test {
+ protected:
+  using Ops8 = align::detail::GenericOps8<8>;
+  using Ops16 = align::detail::GenericOps<8>;
+  static constexpr int kLanes = 8;
+  static constexpr int kStripe = 10;
+  static constexpr align::Score kUnwritten = -7;
+
+  // All-A DNA under match +40: the u8 ceiling is 255 - 1 - 40 = 214, which
+  // split r reaches at diagonal cell (6, 6) whenever r >= 6 — inside the
+  // first 10-column stripe.
+  SaturatingSweep()
+      : s_(homopolymer(100)),
+        scoring_{seq::ScoreMatrix::dna(40, -1), seq::GapPenalty{2, 1}} {
+    rows_.assign(kLanes, {});
+    for (int k = 0; k < kLanes; ++k) {
+      rows_[static_cast<std::size_t>(k)].assign(
+          static_cast<std::size_t>(s_.length() - (kR0 + k)), kUnwritten);
+      outs_.emplace_back(rows_[static_cast<std::size_t>(k)]);
+    }
+    job_.seq = s_.codes();
+    job_.scoring = &scoring_;
+    job_.r0 = kR0;
+    job_.count = kLanes;
+    job_.sink = &sink_;
+    sink_.stride = 7;
+    sink_.top_row = kR0 - 1;
+  }
+
+  /// The u8 attempt, reporting saturation instead of throwing.
+  bool sweep_u8() {
+    profile8_.ensure(job_.seq, scoring_, stats_);
+    bool saturated = false;
+    align::detail::run_simd_group<Ops8>(job_, outs_, kStripe, scratch8_,
+                                        profile8_, &saturated);
+    return saturated;
+  }
+
+  static constexpr int kR0 = 40;
+  seq::Sequence s_;
+  seq::Scoring scoring_;
+  align::GroupJob job_;
+  align::CheckpointSink sink_;
+  std::vector<std::vector<align::Score>> rows_;
+  std::vector<std::span<align::Score>> outs_;
+  align::PrecisionStats stats_;
+  align::QueryProfileT<std::uint8_t> profile8_;
+  align::detail::SimdScratchT<Ops8> scratch8_;
+};
+
+TEST_F(SaturatingSweep, StopsAtFirstStripePastTheLimitWithEmptySink) {
+  ASSERT_TRUE(sweep_u8());
+  EXPECT_EQ(sink_.count, 0);  // no uncertified row may reach the cache
+  // Stripe 0 wrote each lane's first bottom-row columns; the sweep stopped
+  // there, so no later stripe wrote anything.
+  for (int k = 0; k < kLanes; ++k) {
+    const auto& row = rows_[static_cast<std::size_t>(k)];
+    for (std::size_t x = static_cast<std::size_t>(kStripe - k); x < row.size();
+         ++x)
+      ASSERT_EQ(row[x], kUnwritten) << "lane " << k << " column " << x;
+  }
+}
+
+TEST_F(SaturatingSweep, I16RerunAfterAbortMatchesScalar) {
+  ASSERT_TRUE(sweep_u8());
+  align::QueryProfileT<std::int16_t> profile16;
+  profile16.ensure(job_.seq, scoring_, stats_);
+  align::detail::SimdScratchT<Ops16> scratch16;
+  bool saturated = true;
+  align::detail::run_simd_group<Ops16>(job_, outs_, kStripe, scratch16,
+                                       profile16, &saturated);
+  EXPECT_FALSE(saturated);
+  EXPECT_EQ(sink_.elem_size, 2);
+  EXPECT_GT(sink_.count, 0);
+  const auto scalar = align::make_engine(EngineKind::kScalar);
+  for (int k = 0; k < kLanes; ++k)
+    EXPECT_EQ(rows_[static_cast<std::size_t>(k)],
+              scalar->align_one(testing::make_job(s_, kR0 + k, scoring_)))
+        << "lane " << k;
+}
+
+TEST_F(SaturatingSweep, ThrowingProtocolStillNamesTheSaturatedSplit) {
+  // Without a report flag the sweep runs to the end and throws, naming the
+  // first saturated lane's split.
+  profile8_.ensure(job_.seq, scoring_, stats_);
+  try {
+    align::detail::run_simd_group<Ops8>(job_, outs_, kStripe, scratch8_,
+                                        profile8_);
+    FAIL() << "saturating u8 sweep did not throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("split r=40"), std::string::npos)
+        << e.what();
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Query-profile content keying and scratch alignment contract
 
 TEST(PrecisionProfile, ContentKeyedCacheDetectsEveryIngredientChange) {
@@ -279,8 +457,8 @@ TEST(PrecisionProfile, InfeasibleScoringIsMarkedNotCrashed) {
 }
 
 TEST(PrecisionProfile, AlignedAllocatorSatisfiesAvx2Loads) {
-  // The u8 scratch rows are loaded with 32-byte AVX2 vectors; the shared
-  // allocator must hand out storage that satisfies them.
+  // The scratch rows are loaded with up to 64-byte (AVX-512) vectors; the
+  // shared allocator must hand out storage that satisfies them.
   std::vector<std::uint8_t, util::AlignedAllocator<std::uint8_t>> v(100);
   EXPECT_TRUE(util::is_vector_aligned(v.data()));
   std::vector<std::int16_t, util::AlignedAllocator<std::int16_t>> w(100);

@@ -3,8 +3,12 @@
 // full matrix) and small utilities for building jobs and random inputs.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "align/engine.hpp"
@@ -76,6 +80,74 @@ inline std::set<std::pair<int, int>> random_overrides(
     if (tri != nullptr) tri->set(i, j);
   }
   return pairs;
+}
+
+/// Aligns one group (`count` consecutive splits from r0) and returns its
+/// bottom rows; `resume` (nullptr = from scratch) and `sink` (optional) are
+/// passed through to the engine.
+inline std::vector<std::vector<align::Score>> align_group(
+    align::Engine& engine, const seq::Sequence& s,
+    const seq::Scoring& scoring, const align::OverrideTriangle* tri, int r0,
+    int count, const align::CheckpointView* resume = nullptr,
+    align::CheckpointSink* sink = nullptr) {
+  align::GroupJob job;
+  job.seq = s.codes();
+  job.scoring = &scoring;
+  job.overrides = tri;
+  job.r0 = r0;
+  job.count = count;
+  job.resume = resume;
+  job.sink = sink;
+  const int m = s.length();
+  std::vector<std::vector<align::Score>> rows(static_cast<std::size_t>(count));
+  std::vector<std::span<align::Score>> outs(static_cast<std::size_t>(count));
+  for (int k = 0; k < count; ++k) {
+    rows[static_cast<std::size_t>(k)].resize(
+        static_cast<std::size_t>(m - (r0 + k)));
+    outs[static_cast<std::size_t>(k)] = rows[static_cast<std::size_t>(k)];
+  }
+  engine.align(job, outs);
+  return rows;
+}
+
+/// Every adaptive-engine ISA, narrowest first. make_engine(kSimdAuto) only
+/// reaches the widest one the host runs, so tests parametrize over these.
+inline std::vector<align::AdaptiveIsa> all_adaptive_isas() {
+  return {align::AdaptiveIsa::kGeneric, align::AdaptiveIsa::kSse2,
+          align::AdaptiveIsa::kAvx2, align::AdaptiveIsa::kAvx512bw};
+}
+
+inline std::string adaptive_isa_label(align::AdaptiveIsa isa) {
+  switch (isa) {
+    case align::AdaptiveIsa::kGeneric: return "generic";
+    case align::AdaptiveIsa::kSse2: return "sse2";
+    case align::AdaptiveIsa::kAvx2: return "avx2";
+    case align::AdaptiveIsa::kAvx512bw: return "avx512bw";
+  }
+  return "unknown";
+}
+
+/// Marks the running test skipped, visibly, when this build or CPU lacks
+/// `isa`. Call it from SetUp: gtest then never runs the test body.
+inline void skip_unless_available(align::AdaptiveIsa isa) {
+  if (!align::adaptive_isa_available(isa))
+    GTEST_SKIP() << adaptive_isa_label(isa)
+                 << " adaptive engine not supported by this build or CPU";
+}
+
+/// Fixture for tests parametrized over all_adaptive_isas().
+class AdaptiveIsaTest : public ::testing::TestWithParam<align::AdaptiveIsa> {
+ protected:
+  void SetUp() override { skip_unless_available(GetParam()); }
+  [[nodiscard]] std::unique_ptr<align::Engine> engine(
+      int stripe_cols = 0) const {
+    return align::make_adaptive_engine(GetParam(), stripe_cols);
+  }
+};
+
+inline std::string adaptive_isa_param_name(
+    const ::testing::TestParamInfo<align::AdaptiveIsa>& info) {
+  return adaptive_isa_label(info.param);
 }
 
 }  // namespace repro::testing

@@ -54,6 +54,8 @@ KERNEL_FILES = [
     "src/align/simd_engine.cpp",
     "src/align/simd_engine_sse41.cpp",
     "src/align/simd_engine_avx2.cpp",
+    "src/align/simd_engine_avx512.cpp",
+    "src/align/simd_ops_avx2.hpp",
     "src/align/simd_engine_impl.hpp",
     "src/align/query_profile.hpp",
     "src/align/engine_detail.hpp",

@@ -480,7 +480,13 @@ int cmd_info() {
       {"simd16x8-sse2 (u8, biased saturating)", false},
 #endif
       {"simd32x8-avx2 (u8, biased saturating)", align::avx2_available()},
-      {"auto (adaptive u8 -> i16, widest ISA)", true},
+      {"auto-sse2 (adaptive u8 -> i16, 16 lanes)",
+       align::adaptive_isa_available(align::AdaptiveIsa::kSse2)},
+      {"auto-avx2 (adaptive u8 -> i16, 32 lanes, i16 in two YMM)",
+       align::adaptive_isa_available(align::AdaptiveIsa::kAvx2)},
+      {"auto-avx512 (adaptive u8 -> i16, 32 lanes, i16 in one ZMM)",
+       align::adaptive_isa_available(align::AdaptiveIsa::kAvx512bw)},
+      {"auto-generic (adaptive u8 -> i16, portable)", true},
   };
   for (const auto& [name, ok] : engines)
     std::cout << "  [" << (ok ? 'x' : ' ') << "] " << name << '\n';
