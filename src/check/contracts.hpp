@@ -2,10 +2,11 @@
 //
 // REPRO_DCHECK / REPRO_DCHECK_MSG state internal invariants of the hot
 // paths — kernel cell properties, checkpoint-resume consistency, queue
-// ordering, triangle monotonicity, and the cluster recovery protocol
-// (cluster/master_worker.cpp): an assignment record may only be cancelled
-// while its queue key is unchanged, sync replies never shrink a worker's
-// triangle version, and a group completing with member_version == -1 must
+// ordering, triangle monotonicity, the search's upper-bound and acceptance
+// order (core/task_queue.cpp), and the cluster recovery protocol
+// (cluster/master_worker.cpp with core::BestFirstSearch): a sweep may only be
+// cancelled or committed while its queue key is unchanged, sync replies
+// never shrink a worker's triangle version, and a first alignment must
 // carry version-0 rows — the invariants that make timed-out work safe to
 // requeue and duplicate results safe to drop. They are compiled in when
 // REPRO_CONTRACTS_ENABLED is 1 (the `checked` CMake preset, or any

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <deque>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -25,8 +24,7 @@
 namespace repro::cluster {
 namespace {
 
-using core::GroupTask;
-using core::TaskKey;
+using Verdict = core::BestFirstSearch::Verdict;
 using Clock = std::chrono::steady_clock;
 using std::chrono::milliseconds;
 
@@ -46,13 +44,6 @@ enum Tag : int {
   kPing,         // M->W: []  (sent on a missed deadline; liveness probe)
   kPong,         // W->M: []
   kShutdown,     // M->W: []
-};
-
-struct KeyCmp {
-  bool operator()(const TaskKey& a, const TaskKey& b) const {
-    if (a.score != b.score) return a.score > b.score;
-    return a.r < b.r;
-  }
 };
 
 /// Process-shared recovery accounting. Observability only — never consulted
@@ -95,8 +86,9 @@ milliseconds next_backoff(milliseconds current, const FaultToleranceOptions& ft)
   return milliseconds(std::min<std::int64_t>(scaled, ft.max_backoff_ms));
 }
 
-/// Master (rank 0): task queue, acceptance + traceback, worker liveness and
-/// assignment records; in replica mode also the bottom-row archive.
+/// Master (rank 0): messaging, worker liveness, result dedup and row
+/// fetches around the shared best-first search, plus the acceptance
+/// traceback; in replica mode also the bottom-row archive.
 class Master {
  public:
   Master(Comm& comm, const seq::Sequence& s, const seq::Scoring& scoring,
@@ -107,33 +99,21 @@ class Master {
         options_(options),
         recovery_(recovery),
         triangle_(s.length()),
-        lanes_(lanes),
-        groups_(core::make_groups(s.length(), lanes)),
+        search_(s.length(), lanes, options.finder),
         workers_(static_cast<std::size_t>(comm.size())) {
     if (options.row_storage == RowStorage::kMasterReplica)
       rows_.emplace(s.length());
-    for (std::size_t gi = 0; gi < groups_.size(); ++gi)
-      queue_.push(static_cast<int>(gi), groups_[gi].key());
   }
 
   core::FinderResult run() {
     util::WallTimer timer;
-    bool done = false;
-    while (!done) {
+    for (;;) {
       sweep();
-      done = try_accept();
-      if (!done) {
-        assign_idle();
-        // Exhausted: nothing running and every live worker is registered
-        // and idle — with an up-to-date, unblocked head try_accept would
-        // have progressed.
-        done = inflight_.empty() &&
-               static_cast<int>(idle_.size()) == alive_workers();
-        if (!done && alive_workers() == 0)
-          throw std::runtime_error(
-              "cluster: every worker died with work remaining");
-      }
-      if (done) break;
+      if (try_accept()) break;
+      assign_idle();
+      if (alive_workers() == 0)
+        throw std::runtime_error(
+            "cluster: every worker died with work remaining");
       if (const auto got = poll_recv(milliseconds(options_.ft.poll_ms)))
         handle(got->first, got->second);
     }
@@ -141,7 +121,8 @@ class Master {
 
     core::FinderResult res;
     res.tops = std::move(tops_);
-    res.stats = stats_;
+    res.stats = search_.stats();
+    res.stats.queue_pops = search_.queue().pops();
     res.stats.seconds = timer.seconds();
     return res;
   }
@@ -150,10 +131,8 @@ class Master {
 
  private:
   struct Assignment {
-    int gi = -1;
+    core::Sweep sweep;
     int r0 = -1;
-    int version = -1;
-    TaskKey key;  ///< the group's key at assign time (for inflight_ removal)
     Clock::time_point deadline;
   };
   enum class WState { kNew, kIdle, kBusy, kDead };
@@ -161,13 +140,6 @@ class Master {
     WState state = WState::kNew;
     std::optional<Assignment> job;
   };
-
-  int version() const { return static_cast<int>(tops_.size()); }
-
-  bool group_stale(int gi) const {
-    const GroupTask& g = groups_[static_cast<std::size_t>(gi)];
-    return g.version[static_cast<std::size_t>(g.best_member())] != version();
-  }
 
   int alive_workers() const {
     int alive = 0;
@@ -196,16 +168,7 @@ class Master {
   void cancel_assignment(int w) {
     WorkerRec& rec = workers_[static_cast<std::size_t>(w)];
     REPRO_CHECK(rec.job.has_value());
-    const Assignment& job = *rec.job;
-    const GroupTask& g = groups_[static_cast<std::size_t>(job.gi)];
-    // Recovery invariant: an assigned group's key cannot have moved (only
-    // an applied result changes it, and at most one record references a
-    // group at a time).
-    REPRO_DCHECK(!KeyCmp{}(g.key(), job.key) && !KeyCmp{}(job.key, g.key()));
-    const auto it = inflight_.find(job.key);
-    REPRO_CHECK(it != inflight_.end());
-    inflight_.erase(it);
-    queue_.push(job.gi, g.key());
+    search_.cancel_sweep(rec.job->sweep);
     rec.job.reset();
   }
 
@@ -306,43 +269,31 @@ class Master {
     return fetched_.emplace(r, fetch_row_remote(r)).first->second;
   }
 
-  /// Accepts as long as the deterministic guard allows; returns true when
-  /// the search is complete.
+  /// Accepts as long as the search's rule allows; returns true when the
+  /// search is complete.
   bool try_accept() {
     for (;;) {
-      if (static_cast<int>(tops_.size()) >= options_.finder.num_top_alignments)
-        return true;
-      const auto head = queue_.peek();
-      if (!head || group_stale(head->second)) return false;
-      if (!inflight_.empty() && KeyCmp{}(*inflight_.begin(), head->first))
-        return false;  // an in-flight bound could still order before the head
-      if (head->first.score < options_.finder.min_score) return true;
-
-      // Fetching the original row may process further results; re-validate
-      // the head afterwards (its key cannot have *improved*, but an
-      // in-flight bound may have landed above it).
-      const GroupTask& head_group = groups_[static_cast<std::size_t>(head->second)];
-      const int b = head_group.best_member();
-      const int r = head_group.r0 + b;
-      const std::span<const std::int16_t> original = original_row(r);
-      const auto head2 = queue_.peek();
-      if (!head2 || head2->second != head->second || group_stale(head2->second))
+      const Verdict verdict = search_.verdict();
+      if (verdict != Verdict::kAccept) return verdict == Verdict::kStop;
+      // Fetching the original row may apply further results or cancel
+      // assignments, so the rule is asked again before the head is taken.
+      const int gi = search_.queue().peek()->second;
+      const core::GroupTask& g = search_.group(gi);
+      const std::span<const std::int16_t> original =
+          original_row(g.r0 + g.best_member());
+      if (search_.verdict() != Verdict::kAccept ||
+          search_.queue().peek()->second != gi)
         continue;
-      if (!inflight_.empty() && KeyCmp{}(*inflight_.begin(), head2->first))
-        return false;
 
-      const auto popped = queue_.pop_best();
-      REPRO_CHECK(popped && *popped == head->second);
-      GroupTask& g = groups_[static_cast<std::size_t>(*popped)];
-      core::TopAlignment top =
-          core::accept_alignment(s_, scoring_, triangle_, original, r,
-                                 g.score[static_cast<std::size_t>(b)]);
+      const core::Head head = search_.take_head();
+      core::TopAlignment top = core::accept_alignment(
+          s_, scoring_, triangle_, original, head.r, head.score);
       // Broadcast the triangle growth before any assign can reference the
       // new version (per-channel FIFO makes the ordering safe; a worker
       // that loses this update resynchronises via kSyncRequest).
       Message update;
       update.tag = kUpdate;
-      update.data.push_back(version() + 1);
+      update.data.push_back(search_.version() + 1);
       update.data.push_back(static_cast<std::int32_t>(top.pairs.size()));
       for (const auto& [i, j] : top.pairs) {
         update.data.push_back(i);
@@ -350,25 +301,23 @@ class Master {
       }
       comm_.broadcast(0, update);
       tops_.push_back(std::move(top));
-      ++stats_.tracebacks;
-      queue_.push(*popped, g.key());
+      search_.accepted_head(head);
     }
   }
 
   void assign_idle() {
     while (!idle_.empty()) {
-      const auto gi = queue_.pop_best_if([this](int g) { return group_stale(g); });
-      if (!gi) break;
+      const auto sweep = search_.begin_sweep();
+      if (!sweep) break;
       const int w = idle_.back();
       idle_.pop_back();
       WorkerRec& rec = workers_[static_cast<std::size_t>(w)];
       REPRO_DCHECK(rec.state == WState::kIdle && !rec.job.has_value());
       rec.state = WState::kBusy;
-      GroupTask& g = groups_[static_cast<std::size_t>(*gi)];
-      inflight_.insert(g.key());
-      rec.job = Assignment{*gi, g.r0, version(), g.key(),
+      const core::GroupTask& g = search_.group(sweep->group);
+      rec.job = Assignment{*sweep, g.r0,
                            Clock::now() + milliseconds(options_.ft.task_timeout_ms)};
-      comm_.send(0, w, {kAssign, {g.r0, g.count, version()}});
+      comm_.send(0, w, {kAssign, {g.r0, g.count, sweep->version}});
     }
   }
 
@@ -403,7 +352,7 @@ class Master {
         // The worker could no longer compute at the assigned version (a
         // duplicated assign landed after its replica moved on). Requeue.
         if (rec.job.has_value() && rec.job->r0 == msg.data.at(0) &&
-            rec.job->version == msg.data.at(1)) {
+            rec.job->sweep.version == msg.data.at(1)) {
           cancel_assignment(src);
           recovery_.bump(recovery_.retries);
           mark_idle(src);
@@ -418,7 +367,7 @@ class Master {
 
   /// Cumulative triangle state up to target_version, idempotent to apply.
   void send_sync_reply(int src, int target_version) {
-    REPRO_CHECK(target_version >= 0 && target_version <= version());
+    REPRO_CHECK(target_version >= 0 && target_version <= search_.version());
     recovery_.bump(recovery_.sync_requests);
     Message reply;
     reply.tag = kSyncReply;
@@ -446,56 +395,35 @@ class Master {
     // is applied. Anything else — a duplicate delivery, a result computed
     // for an assignment that timed out and was requeued, a straggler from
     // a rank that has since died — is superseded and must be dropped.
-    if (!rec.job.has_value() || rec.job->r0 != r0 || rec.job->version != v) {
+    if (!rec.job.has_value() || rec.job->r0 != r0 ||
+        rec.job->sweep.version != v) {
       recovery_.bump(recovery_.stale_results);
       return;
     }
-    const int gi = rec.job->gi;
-    GroupTask& g = groups_[static_cast<std::size_t>(gi)];
-    REPRO_CHECK(g.count == count);
-
-    const auto inflight_it = inflight_.find(rec.job->key);
-    REPRO_CHECK(inflight_it != inflight_.end());
-    inflight_.erase(inflight_it);
+    const core::Sweep sweep = rec.job->sweep;
     rec.job.reset();
+    REPRO_CHECK(search_.group(sweep.group).count == count);
 
+    std::vector<align::Score> scores(static_cast<std::size_t>(count));
+    for (int k = 0; k < count; ++k)
+      scores[static_cast<std::size_t>(k)] =
+          msg.data.at(3 + static_cast<std::size_t>(k));
     std::size_t cursor = 3 + static_cast<std::size_t>(count);
-    for (int k = 0; k < count; ++k) {
-      const int r = r0 + k;
-      auto& member_version = g.version[static_cast<std::size_t>(k)];
-      if (member_version == -1) {
-        // Recovery invariant: kScoreInf keys pin every never-completed
-        // group above all real scores, so acceptance (and with it version
-        // advance) cannot begin until each group completed once at v0 —
-        // cancels and requeues never change a group's key.
-        REPRO_CHECK(v == 0);
-        ++stats_.first_alignments;
-        if (rows_.has_value()) {
-          // Replica mode: the worker appended the bottom row for archival.
-          const auto len = static_cast<std::size_t>(s_.length() - r);
-          std::vector<align::Score> row(
-              msg.data.begin() + static_cast<std::ptrdiff_t>(cursor),
-              msg.data.begin() + static_cast<std::ptrdiff_t>(cursor + len));
-          cursor += len;
-          rows_->store(r, row);
-        }
-        // (Partitioned mode: the worker already routed the row to its
-        // owner; cross-rank deposits are tallied at the sending side.)
-      } else if (member_version == v) {
-        ++stats_.speculative;
-      } else {
-        ++stats_.realignments;
+    if (v == 0 && rows_.has_value()) {
+      // Replica mode: a first alignment's worker appends its bottom rows for
+      // archival. (Partitioned mode: the worker already routed each row to
+      // its owner; cross-rank deposits are tallied at the sending side.)
+      for (int r = r0; r < r0 + count; ++r) {
+        const auto len = static_cast<std::size_t>(s_.length() - r);
+        std::vector<align::Score> row(
+            msg.data.begin() + static_cast<std::ptrdiff_t>(cursor),
+            msg.data.begin() + static_cast<std::ptrdiff_t>(cursor + len));
+        cursor += len;
+        rows_->store(r, row);
       }
-      g.score[static_cast<std::size_t>(k)] = msg.data.at(3 + static_cast<std::size_t>(k));
-      member_version = v;
     }
     REPRO_CHECK(cursor == msg.data.size());
-    // Mirror the engines' accounting: lanes x rows x columns per group.
-    stats_.cells += static_cast<std::uint64_t>(g.r0 + g.count - 1) *
-                    static_cast<std::uint64_t>(s_.length() - g.r0) *
-                    static_cast<std::uint64_t>(lanes_);
-    ++stats_.queue_pops;
-    queue_.push(gi, g.key());
+    search_.commit_sweep(sweep, scores);
     mark_idle(src);
   }
 
@@ -507,14 +435,10 @@ class Master {
   align::OverrideTriangle triangle_;
   std::optional<align::BottomRowStore> rows_;  // replica mode only
   std::unordered_map<int, std::vector<std::int16_t>> fetched_;  // partitioned
-  int lanes_;
-  std::vector<GroupTask> groups_;
-  core::GroupQueue queue_;
-  std::multiset<TaskKey, KeyCmp> inflight_;
+  core::BestFirstSearch search_;
   std::vector<WorkerRec> workers_;  // indexed by rank; [0] unused
   std::vector<int> idle_;
   std::vector<core::TopAlignment> tops_;
-  core::FinderStats stats_;
   std::uint64_t replicas_served_ = 0;
 };
 
@@ -867,11 +791,13 @@ core::FinderResult find_top_alignments_cluster(const seq::Sequence& s,
   REPRO_CHECK(options.ranks >= 1);
   REPRO_CHECK(options.finder.min_score >= 1);
   REPRO_CHECK_MSG(options.finder.memory == core::MemoryMode::kArchiveRows,
-                  "the distributed finder manages rows via RowStorage; "
-                  "MemoryMode::kRecomputeRows applies to the sequential "
-                  "finder only");
+                  "the distributed finder keeps bottom rows via RowStorage "
+                  "and cannot recompute them (low-memory mode); run it on "
+                  "the shared-memory finder instead (--threads N)");
   REPRO_CHECK_MSG(options.finder.traceback == core::TracebackMode::kFullMatrix,
-                  "the distributed master uses the full-matrix traceback");
+                  "the distributed master uses the full-matrix traceback; "
+                  "for the linear-space traceback use the shared-memory "
+                  "finder instead (--threads N)");
   const auto crashed = options.fault_plan.crashed_ranks();
   for (int c : crashed)
     REPRO_CHECK_MSG(c > 0 && c < options.ranks,
@@ -894,9 +820,12 @@ core::FinderResult find_top_alignments_cluster(const seq::Sequence& s,
     REPRO_CHECK(engines[static_cast<std::size_t>(w)] != nullptr);
   }
   const int lanes = engines[1]->lanes();
-  for (int w = 2; w < options.ranks; ++w)
+  std::vector<core::EngineUsage> usage;
+  for (int w = 1; w < options.ranks; ++w) {
     REPRO_CHECK_MSG(engines[static_cast<std::size_t>(w)]->lanes() == lanes,
                     "all worker engines must have the same lane count");
+    usage.emplace_back(*engines[static_cast<std::size_t>(w)]);
+  }
 
   RecoveryStats recovery;
   Comm comm(options.ranks, options.fault_plan);
@@ -914,6 +843,7 @@ core::FinderResult find_top_alignments_cluster(const seq::Sequence& s,
 
   // Publish after the join: stragglers (workers finishing superseded work
   // during shutdown) keep sending — and counting — until their bodies exit.
+  for (const core::EngineUsage& u : usage) u.add_to(result.stats);
   const FaultStats faults = comm.fault_stats();
   const auto load = [](const std::atomic<std::uint64_t>& c) {
     return c.load(std::memory_order_relaxed);

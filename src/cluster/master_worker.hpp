@@ -1,14 +1,22 @@
 // Distributed-memory master/worker finder (paper §4.3) over the MPI-shaped
 // message substrate (cluster/mpisim.hpp).
 //
-// Rank 0 is sacrificed as the master: it owns the task queue, the
-// bottom-row archive, and the acceptance step (including the sequential
-// traceback). Workers own a private engine and a replicated override
-// triangle, kept current by update broadcasts; original bottom rows are
-// fetched from the master on demand and cached ("once computed, the last
-// row data never changes"). Acceptance uses the same deterministic guard as
-// the shared-memory finder, so the accepted top alignments are identical
-// for every rank count — and identical to the sequential algorithm's.
+// Rank 0 is sacrificed as the master: it owns the search, the bottom-row
+// archive, and the acceptance step (including the sequential traceback).
+// Workers own a private engine and a replicated override triangle, kept
+// current by update broadcasts; original bottom rows are fetched from the
+// master on demand and cached ("once computed, the last row data never
+// changes"). The master drives the same core::BestFirstSearch as the
+// shared-memory finder — queue, in-flight bounds, acceptance rule and
+// RescanPolicy — so the accepted top alignments are identical for every rank
+// count, and identical to the sequential algorithm's.
+//
+// The finder archives every bottom row (RowStorage) and traces back over the
+// full matrix: MemoryMode::kRecomputeRows and TracebackMode::kLinearSpace
+// are rejected (the shared-memory finder runs both). With ranks > 1 it
+// keeps no checkpoint cache, so FinderOptions::checkpoint_mem has no
+// effect. FinderStats::cells and the precision counters are the worker
+// engines' own tallies, including superseded and rebuilt sweeps.
 //
 // Unlike the paper's reliable Myrinet deployment, this implementation is
 // fault tolerant. The protocol survives message drops, bounded delays,

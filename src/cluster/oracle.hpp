@@ -40,9 +40,6 @@ class AlignmentOracle {
 
   [[nodiscard]] const seq::Sequence& sequence() const { return s_; }
   [[nodiscard]] int lanes() const;
-  [[nodiscard]] const std::vector<core::GroupTask>& group_layout() const {
-    return layout_;
-  }
 
   /// Resets the replayed triangle to version 0 for a fresh simulation.
   void begin_run();

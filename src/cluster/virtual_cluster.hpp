@@ -2,7 +2,7 @@
 //
 // Substitution note (see DESIGN.md): the paper measures a 64-node dual-
 // Pentium-III Myrinet cluster; this host is a single CPU. The simulator
-// replays the *identical* distributed scheduling algorithm — master
+// drives the same core::BestFirstSearch as the live master — master
 // sacrifice, best-first assignment, speculative realignment, deterministic
 // acceptance guard, sequential master-side traceback, row-replica fetches —
 // under virtual time, with compute charged as (lane-cells / calibrated

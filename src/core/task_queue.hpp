@@ -7,14 +7,21 @@
 // triangle version it was aligned against. A group's queue key is its best
 // member's (score, split), so popping the queue yields exactly the task the
 // sequential Fig.-5 algorithm would pick, independent of grouping.
+//
+// BestFirstSearch holds the search rules on top of them. Every finder drives
+// it — the scheduler's threads, the cluster master's ranks and the virtual
+// cluster's events — so their tops agree by construction.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <set>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "align/types.hpp"
+#include "core/options.hpp"
 #include "util/check.hpp"
 
 namespace repro::core {
@@ -75,13 +82,23 @@ std::vector<GroupTask> make_groups(int m, int lanes);
 /// Groups must be re-inserted after any state mutation (pop, mutate, push).
 class GroupQueue {
  public:
+  /// (key, group index) entries in queue order: TaskKey::before, then index.
+  using Entry = std::pair<TaskKey, int>;
+  struct Cmp {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.first.before(b.first)) return true;
+      if (b.first.before(a.first)) return false;
+      return a.second < b.second;
+    }
+  };
+
   void push(int group_index, TaskKey key);
 
   /// Pops the overall best group; nullopt when empty.
   std::optional<int> pop_best();
 
   /// Pops the best group for which `stale(index)` holds, skipping better
-  /// up-to-date groups (the shared-memory scheduler's speculative pick).
+  /// up-to-date groups (BestFirstSearch::begin_sweep's pick).
   template <typename Pred>
   std::optional<int> pop_best_if(Pred&& stale) {
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
@@ -96,12 +113,8 @@ class GroupQueue {
     return std::nullopt;
   }
 
-  [[nodiscard]] std::optional<TaskKey> peek_key() const;
-
   /// Key and group index of the current head; nullopt when empty.
-  [[nodiscard]] std::optional<std::pair<TaskKey, int>> peek() const;
-  [[nodiscard]] bool empty() const { return entries_.empty(); }
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] std::optional<Entry> peek() const;
 
   /// Lifetime push / pop counts and the number of up-to-date entries skipped
   /// over by pop_best_if while hunting for a stale group (a direct measure of
@@ -112,18 +125,89 @@ class GroupQueue {
   [[nodiscard]] std::uint64_t stale_skips() const { return stale_skips_; }
 
  private:
-  struct Cmp {
-    bool operator()(const std::pair<TaskKey, int>& a,
-                    const std::pair<TaskKey, int>& b) const {
-      if (a.first.score != b.first.score) return a.first.score > b.first.score;
-      if (a.first.r != b.first.r) return a.first.r < b.first.r;
-      return a.second < b.second;
-    }
-  };
-  std::set<std::pair<TaskKey, int>, Cmp> entries_;
+  std::set<Entry, Cmp> entries_;
   std::uint64_t pushes_ = 0;
   std::uint64_t pops_ = 0;
   std::uint64_t stale_skips_ = 0;
+};
+
+/// A sweep handed out by BestFirstSearch::begin_sweep.
+struct Sweep {
+  int group = -1;
+  int version = 0;     ///< triangle version the members are aligned against
+  bool quiet = false;  ///< no acceptance was running when the sweep began
+};
+
+/// A queue head taken for acceptance: its group, split and queued score.
+struct Head {
+  int group = -1;
+  int r = 0;
+  align::Score score = 0;
+};
+
+/// The best-first search of §3 (Fig. 5) with §4.2's speculative sweeps: the
+/// groups, the queue, the bounds of sweeps in flight and the triangle
+/// version. Callers serialise every call. A driver accepts the head while
+/// verdict() allows it (take_head, trace back, accepted_head); otherwise it
+/// hands begin_sweep()'s group to a worker and later commits or cancels the
+/// sweep. The accepted tops are the sequential algorithm's however many
+/// workers run and however their sweeps interleave.
+class BestFirstSearch {
+ public:
+  /// kAccept: take the head now. kWait: a sweep must start or finish first.
+  /// kStop: enough tops, or no remaining alignment reaches min_score.
+  enum class Verdict { kWait, kAccept, kStop };
+
+  BestFirstSearch(int m, int lanes, const FinderOptions& options);
+
+  /// The number of tops accepted so far.
+  [[nodiscard]] int version() const { return version_; }
+  [[nodiscard]] const GroupTask& group(int gi) const {
+    return groups_[static_cast<std::size_t>(gi)];
+  }
+  [[nodiscard]] const GroupQueue& queue() const { return queue_; }
+
+  /// The acceptance rule: no acceptance is running, the head's best member
+  /// is up to date, no sweep in flight holds a bound ordering before it
+  /// (scores only fall as the triangle grows, so that sweep might still win)
+  /// and, under RescanPolicy::kExhaustiveSweep, no member anywhere is stale.
+  [[nodiscard]] Verdict verdict() const;
+
+  /// Pops the best group due for a sweep — its best member is stale, or any
+  /// member under kExhaustiveSweep — and holds its key as an in-flight bound.
+  std::optional<Sweep> begin_sweep();
+  /// Requeues an unfinished sweep's group under its unchanged key.
+  void cancel_sweep(const Sweep& sweep);
+  /// Stores the members' new scores and version, counts each as a first
+  /// alignment, realignment or speculative recompute, and requeues the group.
+  void commit_sweep(const Sweep& sweep, std::span<const align::Score> scores);
+  /// Bumps stale members provably unchanged since their versions
+  /// (low-memory untouched lanes) to the sweep's version.
+  void commit_unchanged(const Sweep& sweep);
+
+  /// Pops the head; verdict() must be kAccept.
+  Head take_head();
+  /// The taken head is traced back: advances the version, requeues the group.
+  void accepted_head(const Head& head);
+
+  /// The run's stats. The search writes first_alignments, realignments,
+  /// speculative, skipped_realignments and tracebacks; drivers add the rest.
+  [[nodiscard]] FinderStats& stats() { return stats_; }
+
+ private:
+  [[nodiscard]] bool due(const GroupTask& g) const;
+  void end_flight(int gi);
+
+  RescanPolicy policy_;
+  align::Score min_score_;
+  int num_tops_;
+  std::vector<GroupTask> groups_;
+  GroupQueue queue_;
+  std::set<GroupQueue::Entry, GroupQueue::Cmp> inflight_;
+  int version_ = 0;
+  bool accepting_ = false;
+  align::Score last_accepted_ = kScoreInf;
+  FinderStats stats_;
 };
 
 }  // namespace repro::core

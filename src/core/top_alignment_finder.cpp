@@ -6,7 +6,6 @@
 #include <limits>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -54,13 +53,6 @@ TopAlignment accept_with_row(const seq::Sequence& s, const seq::Scoring& scoring
   return top;
 }
 
-/// Orders in-flight bounds like the queue: higher score, then smaller split.
-struct KeyOrder {
-  bool operator()(const TaskKey& a, const TaskKey& b) const {
-    return a.before(b);
-  }
-};
-
 /// One worker's private state. Its checkpoint cache partition
 /// (checkpoint_mem / workers) is touched only from the worker's own thread;
 /// invalidations are replayed from the shared dirty list under the run lock
@@ -68,14 +60,10 @@ struct KeyOrder {
 /// here so steady-state realignments allocate nothing; the `plain_` ones
 /// serve the empty-triangle sweeps of MemoryMode::kRecomputeRows.
 struct Worker {
-  explicit Worker(align::Engine& e)
-      : engine(e), cells0(e.cells_computed()), prec0(e.precision_stats()) {}
+  explicit Worker(align::Engine& e) : engine(e), usage(e) {}
 
   align::Engine& engine;
-  // Engines may be reused across runs (their query profile persists by
-  // design); stats report this run's activity as a delta from these.
-  std::uint64_t cells0;
-  align::PrecisionStats prec0;
+  EngineUsage usage;
   std::optional<align::CheckpointCache> cache;
   int synced = 0;  ///< shared dirty entries already applied to `cache`
   align::CheckpointSink sink;
@@ -89,23 +77,20 @@ struct Worker {
   double idle = 0.0;  ///< wall time parked on the condition variable
 };
 
-/// The best-first scheduler (§3, Fig. 5) run by one or more workers (§4.2).
+/// The best-first search (§3, Fig. 5) run by one or more workers (§4.2).
 ///
-/// Each idle worker takes the best group due for a sweep from the shared
-/// queue, realigns it with its private engine and requeues it. A top
-/// alignment is accepted when the queue head is up to date and no in-flight
-/// realignment holds an upper bound ordering before it (scores only decrease
-/// under a grown triangle, so such a task might still beat the head); under
-/// RescanPolicy::kExhaustiveSweep acceptance also waits until no group has a
-/// stale member. The accepted tops are therefore identical for every worker
-/// count, and with one worker the loop is exactly the sequential algorithm.
-/// Realignments that overlap an acceptance are kept: their results are upper
-/// bounds for the grown triangle and are simply requeued.
+/// Each idle worker accepts the queue head when BestFirstSearch's rule
+/// allows it, and otherwise takes the best group due for a sweep, realigns
+/// it with its private engine and commits the scores. The accepted tops are
+/// therefore identical for every worker count, and with one worker the loop
+/// is exactly the sequential algorithm. Realignments that overlap an
+/// acceptance are kept: their results are upper bounds for the grown
+/// triangle and are simply requeued.
 ///
-/// One mutex guards everything except the override triangle (atomic bits;
-/// the accepting worker is its only writer), the bottom-row archive (first
-/// alignments write disjoint rows before any acceptance), and each worker's
-/// engine and cache.
+/// One mutex guards the search and everything else except the override
+/// triangle (atomic bits; the accepting worker is its only writer), the
+/// bottom-row archive (first alignments write disjoint rows before any
+/// acceptance), and each worker's engine and cache.
 class Scheduler {
  public:
   Scheduler(const seq::Sequence& s, const seq::Scoring& scoring,
@@ -115,13 +100,10 @@ class Scheduler {
         scoring_(scoring),
         options_(options),
         m_(s.length()),
-        triangle_(m_),
-        done_(options.num_top_alignments <= 0) {
-    REPRO_CHECK_MSG(m_ >= 2, "sequence too short for top alignments");
-    REPRO_CHECK(options.min_score >= 1);
+        search_(m_, engines.front()->lanes(), options),
+        triangle_(m_) {
     REPRO_CHECK_MSG(&scoring.matrix.alphabet() == &s.alphabet(),
                     "scoring matrix alphabet does not match the sequence");
-    REPRO_CHECK(!engines.empty());
     if (options.memory == MemoryMode::kArchiveRows)
       rows_.emplace(m_);  // otherwise: Appendix-A linear-memory mode
     const std::size_t budget =
@@ -135,9 +117,6 @@ class Scheduler {
       w.plain_rows.resize(static_cast<std::size_t>(e->lanes()));
       if (incremental() && e->supports_checkpoints()) w.cache.emplace(budget);
     }
-    groups_ = make_groups(m_, engines.front()->lanes());
-    for (std::size_t gi = 0; gi < groups_.size(); ++gi)
-      queue_.push(static_cast<int>(gi), groups_[gi].key());
   }
 
   /// Runs worker 0 on the calling thread and every further worker on its
@@ -155,8 +134,9 @@ class Scheduler {
     for (auto& t : threads) t.join();
     if (error_) std::rethrow_exception(error_);
 
-    stats_.seconds = timer.seconds();
-    stats_.queue_pops = queue_.pops();
+    FinderStats& stats = search_.stats();
+    stats.seconds = timer.seconds();
+    stats.queue_pops = search_.queue().pops();
     const auto key = [metrics_prefix](std::string_view name) {
       std::string k(metrics_prefix);
       k += name;
@@ -164,18 +144,13 @@ class Scheduler {
     };
     for (std::size_t k = 0; k < workers_.size(); ++k) {
       const Worker& w = workers_[k];
-      stats_.cells += w.engine.cells_computed() - w.cells0;
-      const align::PrecisionStats p = w.engine.precision_stats();
-      stats_.i8_sweeps += p.i8_sweeps - w.prec0.i8_sweeps;
-      stats_.i16_sweeps += p.i16_sweeps - w.prec0.i16_sweeps;
-      stats_.precision_escalations += p.escalations - w.prec0.escalations;
-      stats_.profile_hits += p.profile_hits - w.prec0.profile_hits;
-      stats_.idle_seconds += w.idle;
+      w.usage.add_to(stats);
+      stats.idle_seconds += w.idle;
       if (w.cache) {
         const align::CheckpointCacheStats& cs = w.cache->stats();
-        stats_.ckpt_hits += cs.hits;
-        stats_.ckpt_misses += cs.misses;
-        stats_.ckpt_evictions += cs.evictions;
+        stats.ckpt_hits += cs.hits;
+        stats.ckpt_misses += cs.misses;
+        stats.ckpt_evictions += cs.evictions;
       }
       if constexpr (obs::kEnabled)
         obs::Registry::global()
@@ -184,47 +159,19 @@ class Scheduler {
     }
     if constexpr (obs::kEnabled) {
       auto& reg = obs::Registry::global();
-      reg.counter(key("queue.pushes")).add(queue_.pushes());
-      reg.counter(key("queue.stale_skips")).add(queue_.stale_skips());
+      reg.counter(key("queue.pushes")).add(search_.queue().pushes());
+      reg.counter(key("queue.stale_skips")).add(search_.queue().stale_skips());
       reg.counter(key("threads")).add(workers_.size());
     }
-    publish_finder_stats(stats_, m_, metrics_prefix);
+    publish_finder_stats(stats, m_, metrics_prefix);
     FinderResult res;
     res.tops = std::move(tops_);
-    res.stats = stats_;
+    res.stats = stats;
     return res;
   }
 
  private:
-  int version() const { return static_cast<int>(tops_.size()); }
-
   bool incremental() const { return options_.checkpoint_mem > 0; }
-
-  static bool has_stale_member(const GroupTask& g, int version) {
-    return std::any_of(g.version.begin(), g.version.end(),
-                       [version](int v) { return v != version; });
-  }
-
-  /// True when group gi should be swept next: its best member is stale
-  /// (best-first) or any member is (exhaustive sweep).
-  bool due(int gi) const {
-    const GroupTask& g = groups_[static_cast<std::size_t>(gi)];
-    return options_.policy == RescanPolicy::kBestFirst
-               ? !g.best_up_to_date(version())
-               : has_stale_member(g, version());
-  }
-
-  /// The acceptance rule for the queue head (see the class comment).
-  bool can_accept(const TaskKey& head, int gi) const {
-    if (!groups_[static_cast<std::size_t>(gi)].best_up_to_date(version()))
-      return false;
-    if (!inflight_.empty() && inflight_.begin()->before(head)) return false;
-    return options_.policy == RescanPolicy::kBestFirst ||
-           std::none_of(groups_.begin(), groups_.end(),
-                        [this](const GroupTask& g) {
-                          return has_stale_member(g, version());
-                        });
-  }
 
   int ckpt_stride(int rows) const {
     const int c = std::max(1, options_.checkpoints_per_sweep);
@@ -248,10 +195,10 @@ class Scheduler {
   bool group_untouched(const GroupTask& g) const {
     for (int k = 0; k < g.count; ++k) {
       const int v = g.version[static_cast<std::size_t>(k)];
-      if (v == version()) continue;
+      if (v == search_.version()) continue;
       if (v < 0) return false;
       const int r = g.r0 + k;
-      for (int t = v; t < version(); ++t)
+      for (int t = v; t < search_.version(); ++t)
         if (dirty_[static_cast<std::size_t>(t)].min_dirty_row(r) <= r)
           return false;
     }
@@ -337,33 +284,23 @@ class Scheduler {
     util::WallTimer wait_timer;
     std::unique_lock lock(mutex_);
     while (!done_) {
-      // 1. Acceptance: the head passes the acceptance rule and no other
-      //    acceptance is running.
-      if (!accepting_) {
-        const auto head = queue_.peek();
-        if (head && can_accept(head->first, head->second)) {
-          if (head->first.score < options_.min_score) {
-            done_ = true;  // every bound is lower: search exhausted
-            break;
-          }
-          accept_head(lock, w, head->second);
-          if (version() >= options_.num_top_alignments) done_ = true;
-          cv_.notify_all();
-          continue;
-        }
+      // 1. Acceptance, or the end of the search.
+      const auto verdict = search_.verdict();
+      if (verdict == BestFirstSearch::Verdict::kStop) {
+        done_ = true;
+        break;
       }
-
-      // 2. Realignment: the best group due for a sweep not yet assigned.
-      if (const auto gi = queue_.pop_best_if([this](int g) { return due(g); })) {
-        realign(lock, w, *gi);
+      if (verdict == BestFirstSearch::Verdict::kAccept) {
+        accept_head(lock, w);
         cv_.notify_all();
         continue;
       }
 
-      // 3. Exhaustion: nothing queued, nothing running, nothing accepting.
-      if (queue_.empty() && inflight_.empty() && !accepting_) {
-        done_ = true;
-        break;
+      // 2. Realignment: the best group due for a sweep not yet assigned.
+      if (const auto sweep = search_.begin_sweep()) {
+        realign(lock, w, *sweep);
+        cv_.notify_all();
+        continue;
       }
       wait_timer.reset();
       cv_.wait(lock);
@@ -389,51 +326,37 @@ class Scheduler {
     return w.plain_rows[static_cast<std::size_t>(b)];
   }
 
-  void accept_head(std::unique_lock<std::mutex>& lock, Worker& w, int gi) {
-    const auto popped = queue_.pop_best();
-    REPRO_CHECK(popped && *popped == gi);
-    GroupTask& g = groups_[static_cast<std::size_t>(gi)];
-    const int b = g.best_member();
-    const int r = g.r0 + b;
-    const align::Score expected = g.score[static_cast<std::size_t>(b)];
-    accepting_ = true;
+  void accept_head(std::unique_lock<std::mutex>& lock, Worker& w) {
+    const Head head = search_.take_head();
+    const GroupTask& g = search_.group(head.group);
     sync_cache(w);
     lock.unlock();
     // Traceback runs unlocked (the paper notes it is the slow sequential
-    // part); it is the only writer of the triangle while accepting_ holds.
+    // part); it is the only writer of the triangle while accepting.
     TopAlignment top =
-        rows_ ? accept_with_row(s_, scoring_, triangle_, rows_->row(r), r,
-                                expected, options_.traceback)
+        rows_ ? accept_with_row(s_, scoring_, triangle_, rows_->row(head.r),
+                                head.r, head.score, options_.traceback)
               : accept_with_row(s_, scoring_, triangle_,
-                                recompute_original(w, g, b, expected), r,
-                                expected, options_.traceback);
+                                recompute_original(w, g, head.r - g.r0,
+                                                   head.score),
+                                head.r, head.score, options_.traceback);
     lock.lock();
     tops_.push_back(std::move(top));
-    if constexpr (check::kContractsEnabled) {
-      // Acceptance order (§2.2): scores never increase down the top list.
-      [[maybe_unused]] const std::size_t n = tops_.size();
-      REPRO_DCHECK_MSG(n < 2 || tops_[n - 1].score <= tops_[n - 2].score,
-                       "acceptance " << n - 1 << " (score "
-                                     << tops_[n - 1].score
-                                     << ") outranks its predecessor (score "
-                                     << tops_[n - 2].score << ")");
-      // Triangle monotone growth: every accepted pair is now overridden.
-      for ([[maybe_unused]] const auto& pair : tops_.back().pairs)
-        REPRO_DCHECK(triangle_.contains(pair.first, pair.second));
-    }
+    // Triangle monotone growth: every accepted pair is now overridden.
+    for ([[maybe_unused]] const auto& pair : tops_.back().pairs)
+      REPRO_DCHECK(triangle_.contains(pair.first, pair.second));
     if (incremental())
       dirty_.emplace_back(
           std::span<const std::pair<int, int>>(tops_.back().pairs));
-    ++stats_.tracebacks;
-    accepting_ = false;
-    queue_.push(gi, g.key());
+    search_.accepted_head(head);
   }
 
-  /// (Re)aligns every member of group gi against the triangle and refreshes
-  /// the member scores (shadow-rejected bottom-row maxima).
-  void realign(std::unique_lock<std::mutex>& lock, Worker& w, int gi) {
-    GroupTask& g = groups_[static_cast<std::size_t>(gi)];
-    const int v = version();  // label: triangle version at sweep start
+  /// (Re)aligns every member of the sweep's group against the triangle and
+  /// commits the member scores (shadow-rejected bottom-row maxima).
+  void realign(std::unique_lock<std::mutex>& lock, Worker& w,
+               const Sweep& sweep) {
+    const GroupTask& g = search_.group(sweep.group);
+    const int v = sweep.version;  // label: triangle version at sweep start
     // Low-memory mode pays a paired empty-triangle sweep per realignment to
     // recompute the originals (first alignments archive nothing).
     const bool recompute = !rows_ && v > 0;
@@ -443,21 +366,10 @@ class Scheduler {
     // the paired empty-triangle recompute are provably no-ops — bump the
     // versions without computing anything.
     if (recompute && incremental() && group_untouched(g)) {
-      for (auto& mv : g.version) {
-        if (mv != v) {
-          mv = v;
-          ++stats_.skipped_realignments;
-        }
-      }
-      queue_.push(gi, g.key());
+      search_.commit_unchanged(sweep);
       return;
     }
 
-    const auto it = inflight_.insert(g.key());
-    const std::vector<int> prev_version = g.version;
-    std::vector<align::Score> prev_score;  // contracts-only snapshot
-    if constexpr (check::kContractsEnabled) prev_score = g.score;
-    const bool quiet_start = !accepting_;
     const int rows_g = g.r0 + g.count - 1;
     // Checkpoint sync and lookups run locked (the dirty list is shared); the
     // views stay valid unlocked because only this thread mutates the cache.
@@ -492,11 +404,10 @@ class Scheduler {
       const int r = g.r0 + k;
       const auto& row = w.rows[static_cast<std::size_t>(k)];
       align::Score& score = new_scores[static_cast<std::size_t>(k)];
-      if (prev_version[static_cast<std::size_t>(k)] == -1) {
+      if (v == 0) {
         // Every rectangle is first-aligned while all queue keys are still
         // infinite, i.e. before any acceptance; the archived bottom rows are
         // therefore always empty-triangle originals (disjoint: safe unlocked).
-        REPRO_CHECK(v == 0);
         if (rows_) rows_->store(r, row);
         score = align::find_best_end(row).score;
       } else if (rows_) {
@@ -510,7 +421,6 @@ class Scheduler {
     }
 
     lock.lock();
-    inflight_.erase(it);
     if (w.cache) {
       // The sweep ran unlocked, so the triangle may have grown under it:
       // staged rows at or past any mid-sweep acceptance's dirty row could
@@ -537,71 +447,35 @@ class Scheduler {
       if (recompute)
         w.cache->store(g.r0, /*plain_class=*/true, priority, w.plain_sink);
     }
+    FinderStats& stats = search_.stats();
     if (v > 0) {
-      stats_.realign_seconds += sweep_seconds;
-      stats_.rows_swept += static_cast<std::uint64_t>(rows_g);
-      stats_.rows_skipped += static_cast<std::uint64_t>(resumed);
+      stats.realign_seconds += sweep_seconds;
+      stats.rows_swept += static_cast<std::uint64_t>(rows_g);
+      stats.rows_skipped += static_cast<std::uint64_t>(resumed);
       if (recompute) {
-        stats_.rows_swept += static_cast<std::uint64_t>(rows_g);
-        stats_.rows_skipped += static_cast<std::uint64_t>(plain_resumed);
+        stats.rows_swept += static_cast<std::uint64_t>(rows_g);
+        stats.rows_skipped += static_cast<std::uint64_t>(plain_resumed);
       }
     }
-    // No acceptance started or finished during the sweep: it saw exactly the
-    // version-v triangle.
-    const bool saw_only_v = quiet_start && !accepting_ && version() == v;
-    for (int k = 0; k < g.count; ++k) {
-      const int pv = prev_version[static_cast<std::size_t>(k)];
-      if (pv == -1) {
-        ++stats_.first_alignments;
-      } else if (pv == v) {
-        ++stats_.speculative;  // lane-mate recomputed although already current
-      } else {
-        ++stats_.realignments;
-      }
-      if constexpr (check::kContractsEnabled) {
-        // Upper-bound property (Fig. 5): the sweep observed at least the
-        // version-v triangle and bits are only added, so a member aligned
-        // before can never come back with a higher score — and recomputing
-        // an up-to-date member under the same triangle is deterministic.
-        [[maybe_unused]] const align::Score before = prev_score[static_cast<std::size_t>(k)];
-        [[maybe_unused]] const align::Score after = new_scores[static_cast<std::size_t>(k)];
-        if (pv >= 0)
-          REPRO_DCHECK_MSG(after <= before,
-                           "realignment raised r=" << g.r0 + k << " from "
-                               << before << " to " << after
-                               << " — upper-bound property violated");
-        if (pv == v && saw_only_v)
-          REPRO_DCHECK_MSG(after == before,
-                           "speculative recompute changed r="
-                               << g.r0 + k << " from " << before << " to "
-                               << after);
-      }
-      g.score[static_cast<std::size_t>(k)] = new_scores[static_cast<std::size_t>(k)];
-      g.version[static_cast<std::size_t>(k)] = v;
-    }
-    queue_.push(gi, g.key());
+    search_.commit_sweep(sweep, new_scores);
   }
 
   const seq::Sequence& s_;
   const seq::Scoring& scoring_;
   const FinderOptions& options_;
   int m_;
+  BestFirstSearch search_;
   align::OverrideTriangle triangle_;
   std::optional<align::BottomRowStore> rows_;
   std::vector<Worker> workers_;
-  std::vector<GroupTask> groups_;
-  GroupQueue queue_;
-  std::multiset<TaskKey, KeyOrder> inflight_;
   std::vector<align::PairDirtyIndex> dirty_;  ///< one entry per acceptance
 
   std::mutex mutex_;
   std::condition_variable cv_;
-  bool accepting_ = false;
-  bool done_;
+  bool done_ = false;
   std::exception_ptr error_;
 
   std::vector<TopAlignment> tops_;
-  FinderStats stats_;
 };
 
 }  // namespace
@@ -610,6 +484,7 @@ FinderResult run_scheduler(const seq::Sequence& s, const seq::Scoring& scoring,
                            const FinderOptions& options,
                            std::span<align::Engine* const> engines,
                            std::string_view metrics_prefix) {
+  REPRO_CHECK(!engines.empty());
   Scheduler scheduler(s, scoring, options, engines);
   return scheduler.run(metrics_prefix);
 }
@@ -628,6 +503,15 @@ TopAlignment accept_alignment(const seq::Sequence& s, const seq::Scoring& scorin
                               align::Score expected) {
   return accept_with_row(s, scoring, triangle, original_row, r, expected,
                          TracebackMode::kFullMatrix);
+}
+
+void EngineUsage::add_to(FinderStats& stats) const {
+  stats.cells += engine.cells_computed() - cells0;
+  const align::PrecisionStats p = engine.precision_stats();
+  stats.i8_sweeps += p.i8_sweeps - precision0.i8_sweeps;
+  stats.i16_sweeps += p.i16_sweeps - precision0.i16_sweeps;
+  stats.precision_escalations += p.escalations - precision0.escalations;
+  stats.profile_hits += p.profile_hits - precision0.profile_hits;
 }
 
 void publish_finder_stats(const FinderStats& stats, int m,

@@ -18,12 +18,10 @@
 // are scheduled in fixed groups of L neighbouring splits (§4.1); the
 // accepted top alignments are identical for every engine and group width.
 //
-// The scheduler runs one worker per engine. Each worker takes the best
-// stale group and realigns it; acceptance waits until no in-flight
-// realignment could still beat the head. With one worker this is exactly
-// the sequential algorithm above; with more it is the paper's speculative
-// shared-memory scheduler, and the tops stay identical for every worker
-// count.
+// The scheduler runs one worker per engine over core::BestFirstSearch
+// (core/task_queue.hpp). With one worker this is exactly the sequential
+// algorithm above; with more it is the paper's speculative shared-memory
+// scheduler, and the tops stay identical for every worker count.
 #pragma once
 
 #include <span>
@@ -78,6 +76,21 @@ TopAlignment accept_alignment(const seq::Sequence& s,
                               align::OverrideTriangle& triangle,
                               std::span<const std::int16_t> original_row, int r,
                               align::Score expected);
+
+/// An engine's counters at the start of a run. Engines may be reused across
+/// runs (their query profile persists by design), so add_to() adds only the
+/// lane-cells and precision sweeps since the snapshot to a run's stats.
+struct EngineUsage {
+  explicit EngineUsage(const align::Engine& e)
+      : engine(e),
+        cells0(e.cells_computed()),
+        precision0(e.precision_stats()) {}
+  void add_to(FinderStats& stats) const;
+
+  const align::Engine& engine;
+  std::uint64_t cells0;
+  align::PrecisionStats precision0;
+};
 
 /// Publishes a finished run's FinderStats to the global obs registry under
 /// `prefix` (e.g. "finder." / "parallel." / "cluster."): one counter per

@@ -8,6 +8,8 @@
 #include <sstream>
 #include <string>
 
+#include <sys/wait.h>
+
 #ifndef REPRO_CLI_PATH
 #error "REPRO_CLI_PATH must be defined by the build"
 #endif
@@ -158,6 +160,20 @@ TEST(Cli, ClusterRanksAgreeWithSequentialEvenUnderFaults) {
   EXPECT_EQ(faulted.status, 0) << faulted.out;
   EXPECT_EQ(seq.out, clu.out);
   EXPECT_EQ(seq.out, faulted.out);
+}
+
+TEST(Cli, ClusterRejectsLowMemoryModesNamingThreads) {
+  const std::string fasta = temp_fasta();
+  ASSERT_EQ(run_cli("generate --kind titin --length 200 --out " + fasta)
+                .status, 0);
+  for (const char* flag : {" --low-memory", " --linear-traceback"}) {
+    const RunResult r =
+        run_cli("find --fasta " + fasta + " --tops 2 --ranks 3" + flag);
+    ASSERT_TRUE(WIFEXITED(r.status)) << flag;
+    EXPECT_EQ(WEXITSTATUS(r.status), 1) << flag << ": " << r.out;
+    EXPECT_NE(r.out.find("--threads"), std::string::npos)
+        << flag << ": " << r.out;
+  }
 }
 
 TEST(Cli, FaultFlagsRequireClusterRun) {

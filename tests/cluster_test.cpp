@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <memory>
 
 #include "cluster/master_worker.hpp"
 #include "cluster/mpisim.hpp"
@@ -171,7 +173,80 @@ TEST_P(ClusterFinderTest, SimdWorkersMatchToo) {
       << ranks << " ranks: " << diff;
 }
 
+TEST_P(ClusterFinderTest, ExhaustiveSweepRealignsEveryRectangle) {
+  // RescanPolicy::kExhaustiveSweep realigns all m-1 rectangles before each
+  // acceptance after the first, on every rank count.
+  const int ranks = GetParam();
+  const auto g = seq::synthetic_titin(200, 95);
+  FinderOptions opt;
+  opt.num_top_alignments = 5;
+  opt.policy = core::RescanPolicy::kExhaustiveSweep;
+  const auto scalar = align::make_engine(align::EngineKind::kScalar);
+  const auto reference = core::find_top_alignments(
+      g.sequence, Scoring::protein_default(), opt, *scalar);
+
+  ClusterOptions copt;
+  copt.ranks = ranks;
+  copt.finder = opt;
+  const auto res = find_top_alignments_cluster(
+      g.sequence, Scoring::protein_default(), copt,
+      align::engine_factory(align::EngineKind::kScalar));
+  std::string diff;
+  EXPECT_TRUE(core::same_tops(reference.tops, res.tops, &diff))
+      << ranks << " ranks: " << diff;
+  ASSERT_EQ(res.tops.size(), 5u);
+  EXPECT_EQ(res.stats.realignments, 4u * (g.sequence.length() - 1u))
+      << ranks << " ranks";
+}
+
 INSTANTIATE_TEST_SUITE_P(Ranks, ClusterFinderTest, ::testing::Values(1, 2, 3, 5, 8));
+
+/// Engine decorator that adds the engine's lane-cells to `tally` when the
+/// finder destroys it.
+class TalliedEngine final : public align::Engine {
+ public:
+  TalliedEngine(std::unique_ptr<align::Engine> inner, std::uint64_t& tally)
+      : inner_(std::move(inner)), tally_(tally) {}
+  ~TalliedEngine() override { tally_ += cells_computed(); }
+  TalliedEngine(const TalliedEngine&) = delete;
+  TalliedEngine& operator=(const TalliedEngine&) = delete;
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] int lanes() const override { return inner_->lanes(); }
+  [[nodiscard]] bool supports_checkpoints() const override {
+    return inner_->supports_checkpoints();
+  }
+  [[nodiscard]] align::PrecisionStats precision_stats() const override {
+    return inner_->precision_stats();
+  }
+
+ protected:
+  void do_align(const align::GroupJob& job,
+                std::span<const std::span<align::Score>> out) override {
+    inner_->align(job, out);
+  }
+
+ private:
+  std::unique_ptr<align::Engine> inner_;
+  std::uint64_t& tally_;
+};
+
+TEST(ClusterFinder, StatsComeFromTheWorkerEngines) {
+  const auto g = seq::synthetic_titin(300, 96);
+  ClusterOptions copt;
+  copt.ranks = 3;
+  copt.finder.num_top_alignments = 6;
+  std::uint64_t tally = 0;
+  const auto res = find_top_alignments_cluster(
+      g.sequence, Scoring::protein_default(), copt, [&tally] {
+        return std::make_unique<TalliedEngine>(
+            align::make_engine(align::EngineKind::kSimdAuto), tally);
+      });
+  EXPECT_EQ(res.tops.size(), 6u);
+  EXPECT_GT(res.stats.i8_sweeps, 0u);
+  EXPECT_GT(tally, 0u);
+  EXPECT_EQ(res.stats.cells, tally);
+}
 
 TEST(ClusterFinder, RowReplicasFlowWhenWorkersShareWork) {
   // With several workers, realignments frequently land on a worker that did

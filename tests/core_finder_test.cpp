@@ -4,6 +4,7 @@
 
 #include "align/engine.hpp"
 #include "core/old_finder.hpp"
+#include "core/task_queue.hpp"
 #include "core/top_alignment_finder.hpp"
 #include "core/verify.hpp"
 #include "seq/generator.hpp"
@@ -151,6 +152,105 @@ TEST(OldFinder, PaperFig4MatchesNewAlgorithm) {
   const auto new_res = find_top_alignments(s, scoring, opt);
   std::string diff;
   EXPECT_TRUE(same_tops(old_res.tops, new_res.tops, &diff)) << diff;
+}
+
+// The search rules on scripted scores: one-lane groups of a length-4
+// sequence, so group g holds split g + 1. No engines, no threads.
+using Verdict = BestFirstSearch::Verdict;
+
+BestFirstSearch scripted_search(
+    std::vector<align::Score> first_scores, align::Score min_score = 1,
+    RescanPolicy policy = RescanPolicy::kBestFirst) {
+  FinderOptions opt;
+  opt.num_top_alignments = 3;
+  opt.min_score = min_score;
+  opt.policy = policy;
+  BestFirstSearch search(4, 1, opt);
+  EXPECT_EQ(search.verdict(), Verdict::kWait);  // nothing aligned yet
+  while (const auto sweep = search.begin_sweep()) {
+    const align::Score score =
+        first_scores[static_cast<std::size_t>(sweep->group)];
+    search.commit_sweep(*sweep, {&score, 1});
+  }
+  EXPECT_EQ(search.stats().first_alignments, first_scores.size());
+  return search;
+}
+
+void commit(BestFirstSearch& search, const Sweep& sweep, align::Score score) {
+  search.commit_sweep(sweep, {&score, 1});
+}
+
+TEST(BestFirstSearch, InFlightBoundBlocksAcceptanceUntilCancelled) {
+  BestFirstSearch search = scripted_search({30, 20, 10});
+  ASSERT_EQ(search.verdict(), Verdict::kAccept);
+  search.accepted_head(search.take_head());  // every group is stale now
+
+  const auto held = search.begin_sweep();
+  ASSERT_TRUE(held && held->group == 0);  // bound 30 stays in flight
+  const auto other = search.begin_sweep();
+  ASSERT_TRUE(other && other->group == 1);
+  commit(search, *other, 15);
+  // Group 1 heads the queue up to date, but the sweep in flight might still
+  // return anything up to 30.
+  EXPECT_EQ(search.queue().peek()->second, 1);
+  EXPECT_EQ(search.verdict(), Verdict::kWait);
+
+  const TaskKey before = search.group(0).key();
+  search.cancel_sweep(*held);
+  EXPECT_EQ(search.group(0).key().score, before.score);
+  EXPECT_EQ(search.group(0).key().r, before.r);
+  const auto retry = search.begin_sweep();
+  ASSERT_TRUE(retry && retry->group == 0);
+  commit(search, *retry, 12);
+  ASSERT_EQ(search.verdict(), Verdict::kAccept);
+  const Head head = search.take_head();
+  EXPECT_EQ(head.r, 2);
+  EXPECT_EQ(head.score, 15);
+}
+
+TEST(BestFirstSearch, ExhaustivePolicyWaitsForEveryStaleMember) {
+  for (const RescanPolicy policy :
+       {RescanPolicy::kBestFirst, RescanPolicy::kExhaustiveSweep}) {
+    const bool exhaustive = policy == RescanPolicy::kExhaustiveSweep;
+    BestFirstSearch search = scripted_search({30, 20, 10}, 1, policy);
+    search.accepted_head(search.take_head());
+    const auto sweep = search.begin_sweep();
+    ASSERT_TRUE(sweep && sweep->group == 0);
+    commit(search, *sweep, 25);
+    // The head is up to date and nothing is in flight; groups 1 and 2 are
+    // stale.
+    EXPECT_EQ(search.verdict(), exhaustive ? Verdict::kWait : Verdict::kAccept);
+    if (!exhaustive) continue;
+    for (const align::Score score : {20, 10}) {
+      const auto next = search.begin_sweep();
+      ASSERT_TRUE(next);
+      EXPECT_EQ(search.verdict(), Verdict::kWait);
+      commit(search, *next, score);
+    }
+    EXPECT_EQ(search.verdict(), Verdict::kAccept);
+    EXPECT_EQ(search.stats().realignments, 3u);
+  }
+}
+
+TEST(BestFirstSearch, HeadBelowMinScoreEndsSearch) {
+  EXPECT_EQ(scripted_search({10, 5, 3}, 15).verdict(), Verdict::kStop);
+  BestFirstSearch search = scripted_search({30, 5, 3}, 15);
+  ASSERT_EQ(search.verdict(), Verdict::kAccept);
+  search.accepted_head(search.take_head());
+  const auto sweep = search.begin_sweep();
+  ASSERT_TRUE(sweep);
+  commit(search, *sweep, 14);
+  EXPECT_EQ(search.verdict(), Verdict::kStop);
+}
+
+TEST(BestFirstSearch, CommitRaisingAScoreBreaksTheUpperBoundContract) {
+  if (!check::kContractsEnabled)
+    GTEST_SKIP() << "contracts are compiled out (use the checked preset)";
+  BestFirstSearch search = scripted_search({30, 20, 10});
+  search.accepted_head(search.take_head());
+  const auto sweep = search.begin_sweep();
+  ASSERT_TRUE(sweep);
+  EXPECT_THROW(commit(search, *sweep, 31), std::logic_error);
 }
 
 }  // namespace

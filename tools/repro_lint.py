@@ -26,6 +26,11 @@ metrics-registry      metric literals under the cluster./vcluster./align.
                       well-formed name, so a typo'd counter would silently
                       fork a new time series. Add new names to the registry
                       alongside the code.
+one-search-core       src/ files outside src/core/ may not name GroupQueue,
+                      pop_best_if or std::multiset<TaskKey, nor define a
+                      TaskKey comparator: every finder drives the one
+                      core::BestFirstSearch instead of forking its queue,
+                      in-flight bounds and acceptance rule.
 nolint-reason         every NOLINT must name its check and give a reason:
                       // NOLINT(<check>): <reason>
 shell-hygiene         shell scripts start with a bash shebang and set
@@ -294,6 +299,26 @@ def check_metrics_naming() -> None:
                          "(tools/repro_lint.py) — add it there or fix the typo")
 
 
+SEARCH_CORE_TOKENS = re.compile(
+    r"\b(GroupQueue|pop_best_if)\b|std::multiset\s*<\s*(core::)?TaskKey\b|"
+    r"operator\(\)\s*\(\s*const\s+(core::)?TaskKey\s*&")
+
+
+def check_one_search_core() -> None:
+    for path in glob_files(["src/**/*.cpp", "src/**/*.hpp"]):
+        if path.relative_to(ROOT).parts[:2] == ("src", "core"):
+            continue
+        raw = path.read_text().splitlines()
+        code = strip_comments_and_strings(path.read_text()).splitlines()
+        for no, (raw_line, code_line) in enumerate(zip(raw, code), start=1):
+            m = SEARCH_CORE_TOKENS.search(code_line)
+            if m and not allowed(raw_line, "one-search-core"):
+                fail(path, no, "one-search-core",
+                     f"'{m.group(0)}' outside src/core/: drive "
+                     "core::BestFirstSearch instead of re-implementing its "
+                     "queue, in-flight bounds or key order")
+
+
 def check_nolint_reasons() -> None:
     for path in glob_files(CXX_GLOBS):
         for no, line in enumerate(path.read_text().splitlines(), start=1):
@@ -334,6 +359,7 @@ def main() -> int:
     check_engine_coverage()
     check_raw_new_delete()
     check_metrics_naming()
+    check_one_search_core()
     check_nolint_reasons()
     check_shell_hygiene()
     check_format_fallback()

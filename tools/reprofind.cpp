@@ -197,7 +197,9 @@ int cmd_find(int argc, char** argv) {
                     "thread count"},
                    {"ranks",
                     "simulated cluster ranks incl. master (default 1 = no "
-                    "cluster; excludes --threads)"},
+                    "cluster; excludes --threads); takes neither "
+                    "--low-memory nor --linear-traceback, which need "
+                    "--threads N"},
                    {"row-storage",
                     "cluster bottom-row placement: replica (default) | "
                     "partitioned"},
