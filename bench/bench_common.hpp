@@ -46,6 +46,17 @@ inline bool maybe_write_json(const util::Args& args, obs::MetricsReport& report)
   return true;
 }
 
+/// The i16 engine with exactly `lanes` lanes on the highest ISA this host
+/// runs (the paper's workers: 4 lanes on SSE, 8 on SSE2), or nullptr.
+inline const align::EngineSpec* i16_engine(int lanes) {
+  const align::EngineSpec* best = nullptr;
+  for (const align::EngineSpec& spec : align::engine_table())
+    if (spec.precision == align::Precision::kI16 && spec.lanes == lanes &&
+        spec.available() && (best == nullptr || spec.isa > best->isa))
+      best = &spec;
+  return best;
+}
+
 /// Prints a section header in a uniform style.
 inline void header(const std::string& title) {
   std::cout << "\n== " << title << " ==\n";

@@ -14,6 +14,7 @@
 // AlignmentOracle). Speed improvements are reported exactly like the paper:
 // against the sequential new algorithm on the conventional instruction set.
 #include <iostream>
+#include <set>
 
 #include "bench_common.hpp"
 #include "cluster/virtual_cluster.hpp"
@@ -39,6 +40,19 @@ int main(int argc, char** argv) {
   const auto procs = args.get_int_list("procs", {1, 2, 4, 8, 16, 32, 64, 96, 128});
   const int lanes = static_cast<int>(args.get_int("lanes", 4));
 
+  const align::EngineSpec* worker = bench::i16_engine(lanes);
+  if (worker == nullptr) {
+    std::set<int> lane_counts;
+    for (const align::EngineSpec& spec : align::engine_table())
+      if (spec.precision == align::Precision::kI16 && spec.available())
+        lane_counts.insert(spec.lanes);
+    std::cerr << "no i16 engine on this host has " << lanes
+              << " lanes; available lane counts:";
+    for (const int l : lane_counts) std::cerr << ' ' << l;
+    std::cerr << '\n';
+    return 1;
+  }
+
   bench::header("Figure 8 — speed improvement vs processors (titin-like, m=" +
                 std::to_string(m) + ", " + std::to_string(lanes) +
                 "-lane workers)");
@@ -48,17 +62,7 @@ int main(int argc, char** argv) {
 
   // Calibrate the cost model with this host's real kernel rates.
   const auto scalar_probe = align::make_engine(align::EngineKind::kScalar);
-  auto make_worker_engine = [&]() -> std::unique_ptr<align::Engine> {
-#if REPRO_HAVE_SSE2
-    if (lanes == 4 || lanes == 8)
-      return align::make_engine(lanes == 4 ? align::EngineKind::kSimd4
-                                           : align::EngineKind::kSimd8);
-#endif
-    if (lanes == 16 && align::avx2_available())
-      return align::make_engine(align::EngineKind::kSimd16);
-    return align::make_engine(align::EngineKind::kSimd4Generic);
-  };
-  const auto worker_probe = make_worker_engine();
+  const auto worker_probe = align::make_engine(worker->kind);
   const int calib_m = std::min(m, 4000);
   const double scalar_rate =
       bench::measure_cells_per_sec(*scalar_probe, calib_m, scoring);
@@ -71,7 +75,7 @@ int main(int argc, char** argv) {
 
   // One oracle per experiment sweep; its cache is shared by every processor
   // count (the acceptance sequence is deterministic).
-  const auto oracle_engine = make_worker_engine();
+  const auto oracle_engine = align::make_engine(worker->kind);
   cluster::AlignmentOracle oracle(g.sequence, scoring, *oracle_engine);
 
   auto model_for = [&](int p, double rate) {

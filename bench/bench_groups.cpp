@@ -31,21 +31,13 @@ int main(int argc, char** argv) {
   const auto g = seq::synthetic_titin(m, 2003);
   const seq::Scoring scoring = seq::Scoring::protein_default();
 
-  struct Config {
-    std::string label;
-    align::EngineKind kind;
-  };
-  std::vector<Config> configs{{"width 1 (scalar)", align::EngineKind::kScalar}};
-#if REPRO_HAVE_SSE2
-  configs.push_back({"width 4 (SSE2 i16)", align::EngineKind::kSimd4});
-  configs.push_back({"width 8 (SSE2 i16)", align::EngineKind::kSimd8});
-#endif
-  if (align::sse41_available())
-    configs.push_back({"width 4 (SSE4.1 i32)", align::EngineKind::kSimd4x32});
-  if (align::avx2_available()) {
-    configs.push_back({"width 8 (AVX2 i32)", align::EngineKind::kSimd8x32});
-    configs.push_back({"width 16 (AVX2 i16)", align::EngineKind::kSimd16});
-  }
+  // Scalar, then every intrinsic i16/i32 kernel this host runs.
+  std::vector<align::EngineKind> kinds{align::EngineKind::kScalar};
+  for (const align::EngineSpec& spec : align::engine_table())
+    if ((spec.precision == align::Precision::kI16 ||
+         spec.precision == align::Precision::kI32) &&
+        spec.isa != align::Isa::kPortable && spec.available())
+      kinds.push_back(spec.kind);
 
   core::FinderOptions opt;
   opt.num_top_alignments = tops;
@@ -58,26 +50,28 @@ int main(int argc, char** argv) {
   report.param("tops", tops);
   std::uint64_t scalar_aligned = 0;
   std::vector<core::TopAlignment> reference;
-  for (const auto& config : configs) {
-    const auto engine = align::make_engine(config.kind);
+  for (const auto kind : kinds) {
+    const auto engine = align::make_engine(kind);
+    const std::string label = "width " + std::to_string(engine->lanes()) +
+                              " (" + engine->name() + ")";
     const auto res = core::find_top_alignments(g.sequence, scoring, opt, *engine);
     if (reference.empty()) {
       reference = res.tops;
     } else {
       std::string diff;
       if (!core::same_tops(reference, res.tops, &diff)) {
-        std::cerr << "GROUPING CHANGED RESULTS (" << config.label << "): "
+        std::cerr << "GROUPING CHANGED RESULTS (" << label << "): "
                   << diff << '\n';
         return 1;
       }
     }
     const std::uint64_t aligned = res.stats.first_alignments +
                                   res.stats.realignments + res.stats.speculative;
-    if (config.kind == align::EngineKind::kScalar) scalar_aligned = aligned;
+    if (kind == align::EngineKind::kScalar) scalar_aligned = aligned;
     const double extra = 100.0 * (static_cast<double>(aligned) /
                                       static_cast<double>(scalar_aligned) -
                                   1.0);
-    table.add_row({config.label, res.stats.seconds,
+    table.add_row({label, res.stats.seconds,
                    static_cast<long long>(res.stats.realignments),
                    static_cast<long long>(res.stats.speculative),
                    extra,

@@ -87,81 +87,26 @@ void run_engine_bench_on(benchmark::State& state, align::EngineKind kind,
       static_cast<double>(engine->cells_computed()), benchmark::Counter::kIsRate);
 }
 
-void run_engine_bench(benchmark::State& state, align::EngineKind kind) {
-  run_engine_bench_on(state, kind, titin(static_cast<int>(state.range(0))),
-                      scoring());
-}
-
-void run_u8_engine_bench(benchmark::State& state, align::EngineKind kind) {
-  run_engine_bench_on(state, kind,
-                      random_protein(static_cast<int>(state.range(0))),
-                      scoring());
-}
-
-void BM_Scalar(benchmark::State& state) {
-  run_engine_bench(state, align::EngineKind::kScalar);
-}
-void BM_ScalarStriped(benchmark::State& state) {
-  run_engine_bench(state, align::EngineKind::kScalarStriped);
-}
-void BM_Simd4Generic(benchmark::State& state) {
-  run_engine_bench(state, align::EngineKind::kSimd4Generic);
-}
-void BM_Simd8Generic(benchmark::State& state) {
-  run_engine_bench(state, align::EngineKind::kSimd8Generic);
-}
-#if REPRO_HAVE_SSE2
-void BM_Simd4Sse2(benchmark::State& state) {
-  run_engine_bench(state, align::EngineKind::kSimd4);
-}
-void BM_Simd8Sse2(benchmark::State& state) {
-  run_engine_bench(state, align::EngineKind::kSimd8);
-}
-#endif
-void BM_Simd16Avx2(benchmark::State& state) {
-  if (!align::avx2_available()) {
-    state.SkipWithError("AVX2 not available");
-    return;
+// One cell-rate bench per engine this host runs, BM_<engine name>/<m>. The
+// u8 engines sweep the random-protein workload (see random_protein); the
+// others sweep titin (the adaptive engines escalate transparently there).
+// The O(n)-per-cell general-gap kernel has its own small bench below.
+void register_engine_benches() {
+  for (const align::EngineSpec& spec : align::engine_table()) {
+    if (!spec.available() || spec.kind == align::EngineKind::kGeneralGap)
+      continue;
+    const bool u8 = spec.precision == align::Precision::kI8;
+    benchmark::RegisterBenchmark(
+        ("BM_" + std::string(spec.name)).c_str(),
+        [kind = spec.kind, u8](benchmark::State& state) {
+          const int m = static_cast<int>(state.range(0));
+          run_engine_bench_on(state, kind, u8 ? random_protein(m) : titin(m),
+                              scoring());
+        })
+        ->Arg(1000)
+        ->Arg(3000);
   }
-  run_engine_bench(state, align::EngineKind::kSimd16);
 }
-
-// Saturating 8-bit engines (random-protein workload, see random_protein
-// above) and the adaptive engine (titin/protein — escalates transparently).
-void BM_Simd8x8Generic(benchmark::State& state) {
-  run_u8_engine_bench(state, align::EngineKind::kSimd8x8Generic);
-}
-#if REPRO_HAVE_SSE2
-void BM_Simd16x8Sse2(benchmark::State& state) {
-  run_u8_engine_bench(state, align::EngineKind::kSimd16x8);
-}
-#endif
-void BM_Simd32x8Avx2(benchmark::State& state) {
-  if (!align::avx2_available()) {
-    state.SkipWithError("AVX2 not available");
-    return;
-  }
-  run_u8_engine_bench(state, align::EngineKind::kSimd32x8);
-}
-void BM_AutoBest(benchmark::State& state) {
-  run_engine_bench(state, align::EngineKind::kSimdAuto);
-}
-
-BENCHMARK(BM_Scalar)->Arg(1000)->Arg(3000);
-BENCHMARK(BM_ScalarStriped)->Arg(1000)->Arg(3000);
-BENCHMARK(BM_Simd4Generic)->Arg(3000);
-BENCHMARK(BM_Simd8Generic)->Arg(3000);
-#if REPRO_HAVE_SSE2
-BENCHMARK(BM_Simd4Sse2)->Arg(1000)->Arg(3000);
-BENCHMARK(BM_Simd8Sse2)->Arg(1000)->Arg(3000);
-#endif
-BENCHMARK(BM_Simd16Avx2)->Arg(1000)->Arg(3000);
-BENCHMARK(BM_Simd8x8Generic)->Arg(3000);
-#if REPRO_HAVE_SSE2
-BENCHMARK(BM_Simd16x8Sse2)->Arg(1000)->Arg(3000);
-#endif
-BENCHMARK(BM_Simd32x8Avx2)->Arg(1000)->Arg(3000);
-BENCHMARK(BM_AutoBest)->Arg(1000)->Arg(3000);
 
 // Checkpoint-resume kernel cost: a sweep resumed from a saved (H, MaxY) row
 // state at 50 % / 90 % of the group's depth versus the same sweep from
@@ -354,35 +299,36 @@ int run_precision_ablation(int argc, char** argv) {
                 std::to_string(m) + ")");
   const auto& rate_seq = random_protein(m);
   const auto& rate_sc = scoring();
-  struct IsaPair {
-    std::string isa;
-    align::EngineKind u8;
-    align::EngineKind i16;
-    bool available;
-  };
-  std::vector<IsaPair> pairs{{"generic", align::EngineKind::kSimd8x8Generic,
-                              align::EngineKind::kSimd8Generic, true}};
-#if REPRO_HAVE_SSE2
-  pairs.push_back({"sse2", align::EngineKind::kSimd16x8,
-                   align::EngineKind::kSimd8, true});
-#endif
-  pairs.push_back({"avx2", align::EngineKind::kSimd32x8,
-                   align::EngineKind::kSimd16, align::avx2_available()});
+  // Per ISA, its widest u8 engine against its widest i16 engine.
+  using Widest = std::pair<const align::EngineSpec*, const align::EngineSpec*>;
+  std::map<align::Isa, Widest> pairs;  // isa -> (u8, i16)
+  for (const align::EngineSpec& spec : align::engine_table()) {
+    if (!spec.available() || (spec.precision != align::Precision::kI8 &&
+                              spec.precision != align::Precision::kI16))
+      continue;
+    const align::EngineSpec*& slot = spec.precision == align::Precision::kI8
+                                         ? pairs[spec.isa].first
+                                         : pairs[spec.isa].second;
+    if (slot == nullptr || spec.lanes > slot->lanes) slot = &spec;
+  }
   util::Table rate_table({"isa", "u8 cells/s", "i16 cells/s", "speedup"});
   rate_table.set_precision(2);
   double best_speedup = 0.0;
-  for (const auto& p : pairs) {
-    if (!p.available) continue;
-    const double r8 = kernel_rate(p.u8, rate_seq, rate_sc);
-    const double r16 = kernel_rate(p.i16, rate_seq, rate_sc);
+  for (const auto& [isa_id, widest] : pairs) {
+    const auto [u8, i16] = widest;
+    if (u8 == nullptr || i16 == nullptr) continue;
+    const std::string isa = align::isa_name(isa_id);
+    const double r8 = kernel_rate(u8->kind, rate_seq, rate_sc);
+    const double r16 = kernel_rate(i16->kind, rate_seq, rate_sc);
     const double speedup = r8 / std::max(r16, 1e-12);
-    rate_table.add_row({p.isa, r8, r16, speedup});
-    report.metric("i8_cells_per_sec_" + p.isa, r8);
-    report.metric("i16_cells_per_sec_" + p.isa, r16);
-    report.metric("i8_vs_i16_speedup_" + p.isa, speedup);
+    rate_table.add_row({isa, r8, r16, speedup});
+    report.metric("i8_cells_per_sec_" + isa, r8);
+    report.metric("i16_cells_per_sec_" + isa, r16);
+    report.metric("i8_vs_i16_speedup_" + isa, speedup);
     // The SIMD pairs double the lane count, so their speedup is the claim;
     // the generic pair keeps 8 lanes either way and is reported for context.
-    if (p.isa != "generic") best_speedup = std::max(best_speedup, speedup);
+    if (isa_id != align::Isa::kPortable)
+      best_speedup = std::max(best_speedup, speedup);
   }
   rate_table.print(std::cout);
   report.metric("i8_vs_i16_speedup_best", best_speedup);
@@ -395,13 +341,16 @@ int run_precision_ablation(int argc, char** argv) {
   opt.num_top_alignments = tops;
   std::int64_t combos = 0;
   bool all_match = true;
+  // Every engine this host runs whose precision fits the workload.
   const auto check_matrix = [&](const seq::Sequence& s, const seq::Scoring& sc,
-                                const std::vector<align::EngineKind>& kinds,
                                 const std::string& label) {
     const auto scalar = align::make_engine(align::EngineKind::kScalar);
     const auto reference = find_top_alignments(s, sc, opt, *scalar);
-    for (const auto kind : kinds) {
-      const auto engine = align::make_engine(kind);
+    for (const align::EngineSpec& spec : align::engine_table()) {
+      if (spec.kind == align::EngineKind::kScalar || !spec.available() ||
+          !align::precision_fits(spec.precision, s.length(), sc))
+        continue;
+      const auto engine = align::make_engine(spec.kind);
       const auto res = find_top_alignments(s, sc, opt, *engine);
       std::string diff;
       const bool ok = core::same_tops(reference.tops, res.tops, &diff);
@@ -411,31 +360,8 @@ int run_precision_ablation(int argc, char** argv) {
                 << (ok ? ": tops identical\n" : ": MISMATCH " + diff + "\n");
     }
   };
-  std::vector<align::EngineKind> wide_kinds{
-      align::EngineKind::kScalarStriped, align::EngineKind::kSimd4Generic,
-      align::EngineKind::kSimd8Generic, align::EngineKind::kSimd4x32Generic,
-      align::EngineKind::kSimdAutoGeneric, align::EngineKind::kSimdAuto};
-#if REPRO_HAVE_SSE2
-  wide_kinds.push_back(align::EngineKind::kSimd4);
-  wide_kinds.push_back(align::EngineKind::kSimd8);
-  if (align::sse41_available())
-    wide_kinds.push_back(align::EngineKind::kSimd4x32);
-#endif
-  if (align::avx2_available()) {
-    wide_kinds.push_back(align::EngineKind::kSimd16);
-    wide_kinds.push_back(align::EngineKind::kSimd8x32);
-  }
-  std::vector<align::EngineKind> u8_kinds{align::EngineKind::kSimd8x8Generic};
-#if REPRO_HAVE_SSE2
-  u8_kinds.push_back(align::EngineKind::kSimd16x8);
-#endif
-  if (align::avx2_available())
-    u8_kinds.push_back(align::EngineKind::kSimd32x8);
-
-  const auto in_range = seq::synthetic_dna_tandem(200, 9, 5, 21).sequence;
-  std::vector<align::EngineKind> in_range_kinds = wide_kinds;
-  in_range_kinds.insert(in_range_kinds.end(), u8_kinds.begin(), u8_kinds.end());
-  check_matrix(in_range, dna_scoring(), in_range_kinds, "dna-in-range");
+  check_matrix(seq::synthetic_dna_tandem(200, 9, 5, 21).sequence,
+               dna_scoring(), "dna-in-range");
 
   seq::RepeatSpec spec;
   spec.unit_length = 24;
@@ -445,7 +371,7 @@ int run_precision_ablation(int argc, char** argv) {
   spec.tandem = true;
   const auto saturating =
       seq::make_repeat_sequence(seq::Alphabet::protein(), 240, spec, 22);
-  check_matrix(saturating.sequence, scoring(), wide_kinds, "protein-saturating");
+  check_matrix(saturating.sequence, scoring(), "protein-saturating");
   report.metric("same_tops", all_match ? 1.0 : 0.0);
   report.counter("combos_checked", static_cast<std::uint64_t>(combos));
 
@@ -484,6 +410,7 @@ int main(int argc, char** argv) {
     if (arg == "--json" || arg.rfind("--json=", 0) == 0)
       return run_precision_ablation(argc, argv);
   }
+  register_engine_benches();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

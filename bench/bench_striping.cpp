@@ -53,19 +53,13 @@ int main(int argc, char** argv) {
   const auto g = seq::synthetic_titin(m, 2003);
   const seq::Scoring scoring = seq::Scoring::protein_default();
 
-  struct Config {
-    std::string label;
-    align::EngineKind striped;
-    align::EngineKind plain;  // same kernel, striping disabled
-  };
-  std::vector<Config> configs{
-      {"scalar", align::EngineKind::kScalarStriped, align::EngineKind::kScalarStriped}};
-#if REPRO_HAVE_SSE2
-  configs.push_back({"simd8-sse2", align::EngineKind::kSimd8, align::EngineKind::kSimd8});
-  configs.push_back({"simd4-sse2", align::EngineKind::kSimd4, align::EngineKind::kSimd4});
-#endif
-  if (align::avx2_available())
-    configs.push_back({"simd16-avx2", align::EngineKind::kSimd16, align::EngineKind::kSimd16});
+  // Scalar striping, then every intrinsic i16 kernel this host runs; each
+  // kernel is timed with its default stripes and with striping disabled.
+  std::vector<align::EngineKind> kinds{align::EngineKind::kScalarStriped};
+  for (const align::EngineSpec& spec : align::engine_table())
+    if (spec.precision == align::Precision::kI16 &&
+        spec.isa != align::Isa::kPortable && spec.available())
+      kinds.push_back(spec.kind);
 
   // Matrix shapes: wide-and-short rectangles stress the row state the most.
   const std::vector<int> splits{m / 8, m / 4, m / 2, 3 * m / 4};
@@ -74,16 +68,17 @@ int main(int argc, char** argv) {
                      "speedup from striping"});
   table.set_precision(3);
   std::vector<double> ratios_simd, ratios_scalar;
-  for (const auto& config : configs) {
+  for (const auto kind : kinds) {
+    const bool scalar = kind == align::EngineKind::kScalarStriped;
     for (const int r0 : splits) {
-      const auto striped = align::make_engine(config.striped, /*stripe=*/0);
-      const auto plain = align::make_engine(config.plain, /*stripe=*/-1);
+      const auto striped = align::make_engine(kind, /*stripe=*/0);
+      const auto plain = align::make_engine(kind, /*stripe=*/-1);
       const double t_striped = run_group(*striped, g.sequence, scoring, r0, reps);
       const double t_plain = run_group(*plain, g.sequence, scoring, r0, reps);
       const double ratio = t_plain / t_striped;
-      (config.label == "scalar" ? ratios_scalar : ratios_simd).push_back(ratio);
-      table.add_row({config.label, static_cast<long long>(r0), t_striped,
-                     t_plain, ratio});
+      (scalar ? ratios_scalar : ratios_simd).push_back(ratio);
+      table.add_row({scalar ? std::string("scalar") : striped->name(),
+                     static_cast<long long>(r0), t_striped, t_plain, ratio});
     }
   }
   table.print(std::cout);

@@ -1,7 +1,7 @@
 // Scan a large titin-like protein for internal repeats — the paper's
 // headline workload (§1: "processing the longest known proteins").
 //
-//   $ ./titin_scan [--length 3000] [--tops 25] [--engine simd|scalar]
+//   $ ./titin_scan [--length 3000] [--tops 25] [--engine simd8|scalar|...]
 //   $ ./titin_scan --fasta my_protein.fa    # scan a real protein instead
 //
 // Prints the top alignments, the delineated repeat regions, and finder
@@ -23,8 +23,7 @@ int main(int argc, char** argv) {
                    {"tops", "top alignments to compute (paper: 10-30+)"},
                    {"seed", "generator seed"},
                    {"engine",
-                    "scalar | striped | simd4 | simd8 | simd16 | simd4x32 | "
-                    "simd8x32 | best"},
+                    "an engine `reprofind info` lists, or best (default)"},
                    {"fasta", "scan the first record of this FASTA file instead"},
                    {"show", "how many alignments to render"}});
   if (args.help_requested()) return 0;
@@ -34,16 +33,6 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2003));
   const int show = static_cast<int>(args.get_int("show", 3));
 
-  std::unique_ptr<align::Engine> engine;
-  const std::string kind = args.get("engine", "best");
-  if (kind == "scalar") engine = align::make_engine(align::EngineKind::kScalar);
-  else if (kind == "striped") engine = align::make_engine(align::EngineKind::kScalarStriped);
-  else if (kind == "simd4") engine = align::make_engine(align::EngineKind::kSimd4);
-  else if (kind == "simd8") engine = align::make_engine(align::EngineKind::kSimd8);
-  else if (kind == "simd16") engine = align::make_engine(align::EngineKind::kSimd16);
-  else if (kind == "simd4x32") engine = align::make_engine(align::EngineKind::kSimd4x32);
-  else if (kind == "simd8x32") engine = align::make_engine(align::EngineKind::kSimd8x32);
-  else engine = align::make_best_engine();
 
   seq::Sequence protein("empty", {}, seq::Alphabet::protein());
   if (args.has("fasta")) {
@@ -56,14 +45,25 @@ int main(int argc, char** argv) {
   } else {
     protein = seq::synthetic_titin(length, seed).sequence;
   }
+  const seq::Scoring scoring = seq::Scoring::protein_default();
+  std::unique_ptr<align::Engine> engine;
+  try {
+    const align::EngineKind kind =
+        align::engine_spec(args.get("engine", "best")).kind;
+    align::check_headroom(kind, protein.length(), scoring);
+    engine = align::make_engine(kind);
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << '\n';
+    return 1;
+  }
   std::cout << "scanning " << protein.name() << " (" << protein.length()
             << " aa) with engine " << engine->name() << " ("
             << engine->lanes() << " lanes)\n";
 
   core::FinderOptions opt;
   opt.num_top_alignments = tops;
-  const auto res = core::find_top_alignments(
-      protein, seq::Scoring::protein_default(), opt, *engine);
+  const auto res =
+      core::find_top_alignments(protein, scoring, opt, *engine);
 
   std::cout << "\nfound " << res.tops.size() << " top alignments in "
             << res.stats.seconds << " s ("

@@ -4,11 +4,10 @@
 // From the input bytes it builds a small DNA sequence, a scoring and a set
 // of override bits, then for every split r checks that
 //
-//   * the scalar engine (reference), the striped scalar engine with a tiny
-//     stripe, the portable SIMD engines (8 x i16 lanes, 4 x i32 lanes) and
-//     the adaptive u8 -> i16 engines (the default `auto` with 3-column
-//     stripes, and `auto-generic`) produce bit-identical bottom rows, one
-//     split at a time and in full lane groups,
+//   * every engine of the engine table that this host runs and whose
+//     precision fits the input produces the scalar engine's bottom rows
+//     bit for bit, one split at a time and in full lane groups, with
+//     3-column stripes (many stripe boundaries even on tiny rectangles),
 //   * resuming the scalar engine from any checkpoint row it emitted
 //     reproduces the fresh bottom row exactly (§3 checkpoint-resume
 //     bit-identity).
@@ -16,6 +15,9 @@
 // Byte 1 >= 0x80 selects match +40 instead of the paper's +2: a u8 lane
 // then passes its ceiling (255 - 1 - 40) after six matches, so escalation
 // and the stripe-boundary early exit of saturating u8 sweeps get fuzzed.
+// Byte 0 >= 0xF0 selects m in [67, 127], so a row's override bits span two
+// 64-bit words (the kernels test overrides one word at a time); smaller
+// values keep most inputs short and fast.
 //
 // Any divergence throws; the driver reports it with the reproducing input.
 #include <algorithm>
@@ -58,10 +60,11 @@ void compare_rows(const std::vector<Score>& ref, const std::vector<Score>& got,
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size < 4) return 0;
-  // Byte 0: sequence length m in [3, 34]. Byte 1: checkpoint stride seed
-  // and scoring selector.
+  // Byte 0: sequence length m, in [3, 34] below 0xF0, else 67 + 4 * (low
+  // nibble). Byte 1: checkpoint stride seed and scoring selector.
   // Bytes then alternate: residue stream (2 bits each), then override pairs.
-  const int m = 3 + static_cast<int>(data[0] % 32);
+  const int m = data[0] < 0xF0 ? 3 + static_cast<int>(data[0] % 32)
+                               : 67 + 4 * static_cast<int>(data[0] & 0x0F);
   const int stride = 1 + static_cast<int>(data[1] % 5);
   std::vector<std::uint8_t> seq(static_cast<std::size_t>(m));
   std::size_t p = 2;
@@ -86,16 +89,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const auto scalar = repro::align::make_engine(
       repro::align::EngineKind::kScalar);
   // Stripe width 3 forces many stripe boundaries even on tiny rectangles.
-  const auto striped = repro::align::make_engine(
-      repro::align::EngineKind::kScalarStriped, 3);
-  const auto simd8 = repro::align::make_engine(
-      repro::align::EngineKind::kSimd8Generic);
-  const auto simd4x32 = repro::align::make_engine(
-      repro::align::EngineKind::kSimd4x32Generic);
-  const auto auto_striped =
-      repro::align::make_engine(repro::align::EngineKind::kSimdAuto, 3);
-  const auto auto_generic = repro::align::make_engine(
-      repro::align::EngineKind::kSimdAutoGeneric);
+  std::vector<std::unique_ptr<repro::align::Engine>> candidates;
+  for (const repro::align::EngineSpec& spec : repro::align::engine_table())
+    if (spec.kind != repro::align::EngineKind::kScalar && spec.available() &&
+        repro::align::precision_fits(spec.precision, m, scoring))
+      candidates.push_back(repro::align::make_engine(spec.kind, 3));
 
   std::vector<std::vector<Score>> refs(static_cast<std::size_t>(m));
 
@@ -115,11 +113,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     const auto& ref = refs[static_cast<std::size_t>(r)] =
         scalar->align_one(fresh);
 
-    compare_rows(ref, striped->align_one(job), "striped", r);
-    compare_rows(ref, simd8->align_one(job), "simd8generic", r);
-    compare_rows(ref, simd4x32->align_one(job), "simd4x32generic", r);
-    compare_rows(ref, auto_striped->align_one(job), "auto", r);
-    compare_rows(ref, auto_generic->align_one(job), "autogeneric", r);
+    for (const auto& engine : candidates)
+      compare_rows(ref, engine->align_one(job), engine->name(), r);
 
     // Resume from every emitted checkpoint row strictly above the bottom row
     // and demand the identical bottom row (§3 bit-identity on resume).
@@ -141,8 +136,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   }
 
   // Full lane groups: column masks, deep rows and partial final groups.
-  for (auto* const engine : {auto_striped.get(), auto_generic.get()}) {
+  for (const auto& engine : candidates) {
     const int lanes = engine->lanes();
+    if (lanes == 1) continue;  // the single-split pass covered it
     for (int r0 = 1; r0 < m; r0 += lanes) {
       GroupJob job;
       job.seq = seq;

@@ -12,6 +12,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "align/types.hpp"
@@ -102,6 +103,9 @@ class Engine {
   std::uint64_t cells_skipped_ = 0;
 };
 
+/// One value per engine; each has one row in engine_table() when its ISA is
+/// compiled in. kSimdAuto alone has no row: it names the widest adaptive
+/// row the host runs.
 enum class EngineKind {
   kScalar,         ///< Fig. 3 recurrence, row-major, O(1)/cell
   kScalarStriped,  ///< scalar + cache-aware vertical striping (§4.1)
@@ -119,16 +123,56 @@ enum class EngineKind {
   kSimd32x8,       ///< 32 x u8 lanes (AVX2, biased saturating arithmetic)
   kSimd8x8Generic, ///< 8 scalar u8 lanes (portable reference)
   kSimdAuto,       ///< adaptive u8 -> i16 on the widest ISA available
-                   ///< (see AdaptiveIsa)
-  kSimdAutoGeneric ///< adaptive u8 -> i16, portable lanes (cross-check)
+  kSimdAutoGeneric,///< adaptive u8 -> i16, portable lanes (cross-check)
+  kSimdAutoSse2,   ///< adaptive, 16 lanes, i16 in two XMM registers
+  kSimdAutoAvx2,   ///< adaptive, 32 lanes, i16 in two YMM registers
+  kSimdAutoAvx512  ///< adaptive, 32 lanes, i16 in one ZMM (AVX-512BW)
 };
 
-/// Creates an engine; throws when the requested SIMD width is not supported
-/// by this build/CPU. `stripe_cols` (0 = engine default, -1 = no striping)
-/// controls the cache-aware striping of striped/SIMD engines.
+/// Instruction set an engine's kernel needs, in ascending order: of two
+/// engines with the same precision and lane count, the later ISA wins.
+enum class Isa { kPortable, kSse2, kSse41, kAvx2, kAvx512bw };
+
+/// True when this build compiled `isa`'s kernels and the CPU runs them.
+bool isa_available(Isa isa);
+
+/// "generic" (the suffix of the portable engines' names), "sse2", "sse4.1",
+/// "avx2" or "avx512bw".
+const char* isa_name(Isa isa);
+
+/// One row of the engine table: everything that tells two engines apart.
+struct EngineSpec {
+  EngineKind kind;
+  const char* name;  ///< the `--engine` spelling
+  Isa isa;
+  Precision precision;
+  int lanes;  ///< Engine::lanes() of the constructed engine
+  std::unique_ptr<Engine> (*make)(int stripe_cols);
+
+  [[nodiscard]] bool available() const { return isa_available(isa); }
+};
+
+/// Every engine this build compiled in, available on this CPU or not.
+std::span<const EngineSpec> engine_table();
+
+/// The row of `kind`; kSimdAuto resolves to best_engine(kAdaptive). Throws
+/// when the kind's ISA was not compiled in.
+const EngineSpec& engine_spec(EngineKind kind);
+
+/// The row named `name`; "auto" and "best" resolve like kSimdAuto. Throws,
+/// listing every row's name, when no row has that name.
+const EngineSpec& engine_spec(std::string_view name);
+
+/// The available row of `precision` with the most lanes, ties going to the
+/// higher ISA. Every precision has a portable row, so this never fails.
+const EngineSpec& best_engine(Precision precision);
+
+/// Creates an engine; throws when this build or CPU cannot run it.
+/// `stripe_cols` (0 = engine default, -1 = no striping) controls the
+/// cache-aware striping of striped/SIMD engines.
 std::unique_ptr<Engine> make_engine(EngineKind kind, int stripe_cols = 0);
 
-/// Widest SIMD engine supported at runtime, falling back to scalar.
+/// make_engine(kSimdAuto): the adaptive engine on the widest ISA available.
 std::unique_ptr<Engine> make_best_engine();
 
 /// Factory for per-thread / per-rank engines (engines are not thread-safe;
@@ -138,30 +182,13 @@ using EngineFactory = std::function<std::unique_ptr<Engine>()>;
 /// Factory producing make_engine(kind, stripe_cols) instances.
 EngineFactory engine_factory(EngineKind kind, int stripe_cols = 0);
 
-/// True when the AVX2 engine can run on this CPU and build.
+/// isa_available(Isa::kAvx2).
 bool avx2_available();
 
-/// True when the SSE4.1 (4 x i32) engine can run on this CPU and build.
+/// isa_available(Isa::kSse41).
 bool sse41_available();
 
-/// Instruction sets the adaptive (u8 -> i16) engine is built for, narrowest
-/// first. EngineKind::kSimdAuto runs the widest one available. All compute
-/// identical bottom rows; the SSE2 engine sweeps 16 lanes, the AVX2 and
-/// AVX-512BW engines 32 (with identical group geometry, checkpoint layout
-/// and counters), the generic engine 8.
-enum class AdaptiveIsa { kGeneric, kSse2, kAvx2, kAvx512bw };
-
-/// True when this build and CPU can run the adaptive engine for `isa`.
-bool adaptive_isa_available(AdaptiveIsa isa);
-
-/// The adaptive engine for `isa` (auto-generic, auto-sse2, auto-avx2 or
-/// auto-avx512); throws when !adaptive_isa_available(isa).
-std::unique_ptr<Engine> make_adaptive_engine(AdaptiveIsa isa,
-                                             int stripe_cols = 0);
-
-/// Element precision `kind` computes in: kI8/kI16 for the fixed saturating
-/// engines, kI32 for scalar/striped/general-gap/i32-SIMD kinds, kAdaptive
-/// for the auto engines (which escalate per group at runtime).
+/// Element precision `kind` computes in (its row's precision).
 Precision engine_precision(EngineKind kind);
 
 /// True when a sequence of length m under `scoring` provably cannot reach
@@ -176,10 +203,10 @@ Precision engine_precision(EngineKind kind);
 bool precision_fits(Precision precision, int m, const seq::Scoring& scoring);
 
 /// Upfront guard for explicit fixed-precision engine selection: throws with
-/// an actionable message (naming the adaptive and 32-bit alternatives) when
-/// precision_fits(engine_precision(kind), m, scoring) is false. No-op for
-/// i32 and adaptive kinds, whose kernels cannot (respectively, handle their
-/// own) saturation.
+/// an actionable message (naming `auto`, `scalar` and the multi-lane i32
+/// engines this host runs) when precision_fits(engine_precision(kind), m,
+/// scoring) is false. No-op for i32 and adaptive kinds, whose kernels cannot
+/// (respectively, handle their own) saturation.
 void check_headroom(EngineKind kind, int m, const seq::Scoring& scoring);
 
 }  // namespace repro::align

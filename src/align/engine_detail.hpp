@@ -36,19 +36,12 @@ inline bool override_bit(const std::atomic<std::uint64_t>* row, int i, int j) {
   return ((row[b >> 6].load(std::memory_order_relaxed) >> (b & 63)) & 1) != 0;
 }
 
-// Per-kind factories (defined in their respective translation units).
+// Constructors of the engine-table rows defined outside simd_engine.cpp.
 std::unique_ptr<Engine> make_scalar_engine();
 std::unique_ptr<Engine> make_scalar_striped_engine(int stripe_cols);
 std::unique_ptr<Engine> make_general_gap_engine();
-std::unique_ptr<Engine> make_simd_engine(int lanes, int stripe_cols);
-std::unique_ptr<Engine> make_simd_generic_engine(int lanes, int stripe_cols);
-std::unique_ptr<Engine> make_simd32_generic_engine(int lanes, int stripe_cols);
-std::unique_ptr<Engine> make_simd_u8_generic_engine(int stripe_cols);
-std::unique_ptr<Engine> make_adaptive_generic_engine(int stripe_cols);
 #if REPRO_HAVE_SSE2
 std::unique_ptr<Engine> make_simd_sse41_engine(int stripe_cols);
-std::unique_ptr<Engine> make_simd_u8_engine(int stripe_cols);
-std::unique_ptr<Engine> make_adaptive_sse2_engine(int stripe_cols);
 #endif
 #if REPRO_ENABLE_AVX2
 std::unique_ptr<Engine> make_simd_avx2_engine(int stripe_cols);

@@ -1,16 +1,17 @@
 // SIMD engines (SSE2 8-lane and 4-lane, plus portable generic lanes) and the
-// engine factory / dispatch.
+// engine table, the one place that knows which engines exist.
 //
 // The 4-lane engine models the paper's Pentium III SSE configuration (4 x
 // i16), the 8-lane engine its Pentium 4 SSE2 configuration (8 x i16); the
 // AVX2 16-lane engine (separate TU) is the natural successor. Generic-lane
 // engines run the identical kernel without intrinsics, both as a portable
-// fallback and as a cross-check in tests. The adaptive engines of every ISA
-// (AdaptiveIsa) are dispatched here too.
+// fallback and as a cross-check in tests. Every engine, whatever its TU, is
+// one row of kTable below: name, ISA, precision, lanes and constructor.
 #include "align/engine.hpp"
 
 #include <limits>
-#include <utility>
+#include <string>
+#include <string_view>
 
 #include "align/engine_detail.hpp"
 #include "align/simd_engine_impl.hpp"
@@ -92,64 +93,89 @@ struct SseOps16x8 {
 
 #endif  // REPRO_HAVE_SSE2
 
-}  // namespace
+template <class E>
+std::unique_ptr<Engine> make(const char* name, int stripe_cols) {
+  return std::make_unique<E>(name, stripe_cols);
+}
 
-std::unique_ptr<Engine> make_simd_engine(int lanes, int stripe_cols) {
+// One row per engine, grouped by precision, narrowest ISA first. A row whose
+// ISA is compiled out is left out of the table.
+constexpr EngineSpec kTable[] = {
+    {EngineKind::kScalar, "scalar", Isa::kPortable, Precision::kI32, 1,
+     [](int) { return make_scalar_engine(); }},
+    {EngineKind::kScalarStriped, "striped", Isa::kPortable, Precision::kI32, 1,
+     make_scalar_striped_engine},
+    {EngineKind::kGeneralGap, "general-gap", Isa::kPortable, Precision::kI32,
+     1, [](int) { return make_general_gap_engine(); }},
+    {EngineKind::kSimd4x32Generic, "simd4x32-generic", Isa::kPortable,
+     Precision::kI32, 4,
+     [](int s) {
+       return make<SimdEngineT<GenericOps32<4>>>("simd4x32-generic", s);
+     }},
 #if REPRO_HAVE_SSE2
-  if (lanes == 4)
-    return std::make_unique<SimdEngineT<SseOps4>>("simd4-sse2", stripe_cols);
-  if (lanes == 8)
-    return std::make_unique<SimdEngineT<SseOps8>>("simd8-sse2", stripe_cols);
-  REPRO_CHECK_MSG(false, "unsupported SSE2 lane count " << lanes);
-#else
-  (void)stripe_cols;
-  REPRO_CHECK_MSG(false, "SSE2 not available in this build (lanes=" << lanes
-                                                                    << ")");
+    {EngineKind::kSimd4x32, "simd4x32", Isa::kSse41, Precision::kI32, 4,
+     make_simd_sse41_engine},
 #endif
-  return nullptr;  // unreachable
-}
-
-std::unique_ptr<Engine> make_simd_generic_engine(int lanes, int stripe_cols) {
-  if (lanes == 4)
-    return std::make_unique<SimdEngineT<GenericOps<4>>>("simd4-generic",
-                                                        stripe_cols);
-  if (lanes == 8)
-    return std::make_unique<SimdEngineT<GenericOps<8>>>("simd8-generic",
-                                                        stripe_cols);
-  REPRO_CHECK_MSG(false, "unsupported generic lane count " << lanes);
-  return nullptr;  // unreachable
-}
-
-std::unique_ptr<Engine> make_simd32_generic_engine(int lanes, int stripe_cols) {
-  if (lanes == 4)
-    return std::make_unique<SimdEngineT<GenericOps32<4>>>("simd4x32-generic",
-                                                          stripe_cols);
-  REPRO_CHECK_MSG(false, "unsupported generic i32 lane count " << lanes);
-  return nullptr;  // unreachable
-}
-
-std::unique_ptr<Engine> make_simd_u8_generic_engine(int stripe_cols) {
-  return std::make_unique<SimdEngineT<GenericOps8<8>>>("simd8x8-generic",
-                                                       stripe_cols);
-}
-
-std::unique_ptr<Engine> make_adaptive_generic_engine(int stripe_cols) {
-  return std::make_unique<AdaptiveEngineT<GenericOps8<8>, GenericOps<8>>>(
-      "auto-generic", stripe_cols);
-}
-
+#if REPRO_ENABLE_AVX2
+    {EngineKind::kSimd8x32, "simd8x32", Isa::kAvx2, Precision::kI32, 8,
+     make_simd_avx2_32_engine},
+#endif
+    {EngineKind::kSimd4Generic, "simd4-generic", Isa::kPortable,
+     Precision::kI16, 4,
+     [](int s) {
+       return make<SimdEngineT<GenericOps<4>>>("simd4-generic", s);
+     }},
+    {EngineKind::kSimd8Generic, "simd8-generic", Isa::kPortable,
+     Precision::kI16, 8,
+     [](int s) {
+       return make<SimdEngineT<GenericOps<8>>>("simd8-generic", s);
+     }},
 #if REPRO_HAVE_SSE2
-std::unique_ptr<Engine> make_simd_u8_engine(int stripe_cols) {
-  return std::make_unique<SimdEngineT<SseOps16x8>>("simd16x8-sse2",
-                                                   stripe_cols);
-}
+    {EngineKind::kSimd4, "simd4", Isa::kSse2, Precision::kI16, 4,
+     [](int s) { return make<SimdEngineT<SseOps4>>("simd4-sse2", s); }},
+    {EngineKind::kSimd8, "simd8", Isa::kSse2, Precision::kI16, 8,
+     [](int s) { return make<SimdEngineT<SseOps8>>("simd8-sse2", s); }},
+#endif
+#if REPRO_ENABLE_AVX2
+    {EngineKind::kSimd16, "simd16", Isa::kAvx2, Precision::kI16, 16,
+     make_simd_avx2_engine},
+#endif
+    {EngineKind::kSimd8x8Generic, "simd8x8-generic", Isa::kPortable,
+     Precision::kI8, 8,
+     [](int s) {
+       return make<SimdEngineT<GenericOps8<8>>>("simd8x8-generic", s);
+     }},
+#if REPRO_HAVE_SSE2
+    {EngineKind::kSimd16x8, "simd16x8", Isa::kSse2, Precision::kI8, 16,
+     [](int s) { return make<SimdEngineT<SseOps16x8>>("simd16x8-sse2", s); }},
+#endif
+#if REPRO_ENABLE_AVX2
+    {EngineKind::kSimd32x8, "simd32x8", Isa::kAvx2, Precision::kI8, 32,
+     make_simd_avx2_u8_engine},
+#endif
+    {EngineKind::kSimdAutoGeneric, "auto-generic", Isa::kPortable,
+     Precision::kAdaptive, 8,
+     [](int s) {
+       return make<AdaptiveEngineT<GenericOps8<8>, GenericOps<8>>>(
+           "auto-generic", s);
+     }},
+#if REPRO_HAVE_SSE2
+    {EngineKind::kSimdAutoSse2, "auto-sse2", Isa::kSse2, Precision::kAdaptive,
+     16,
+     [](int s) {
+       return make<AdaptiveEngineT<SseOps16x8, DoublePumpOps<SseOps8>>>(
+           "auto-sse2", s);
+     }},
+#endif
+#if REPRO_ENABLE_AVX2
+    {EngineKind::kSimdAutoAvx2, "auto-avx2", Isa::kAvx2, Precision::kAdaptive,
+     32, make_adaptive_avx2_engine},
+    {EngineKind::kSimdAutoAvx512, "auto-avx512", Isa::kAvx512bw,
+     Precision::kAdaptive, 32, make_adaptive_avx512_engine},
+#endif
+};
 
-std::unique_ptr<Engine> make_adaptive_sse2_engine(int stripe_cols) {
-  return std::make_unique<AdaptiveEngineT<SseOps16x8, DoublePumpOps<SseOps8>>>(
-      "auto-sse2", stripe_cols);
-}
-#endif  // REPRO_HAVE_SSE2
-
+}  // namespace
 }  // namespace detail
 
 void Engine::align(const GroupJob& job, std::span<const std::span<Score>> out) {
@@ -196,157 +222,92 @@ std::vector<Score> Engine::align_one(const GroupJob& job) {
   return row;
 }
 
-bool avx2_available() {
-#if REPRO_ENABLE_AVX2
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-bool sse41_available() {
-#if REPRO_HAVE_SSE2
-  return __builtin_cpu_supports("sse4.1") != 0;
-#else
-  return false;
-#endif
-}
-
-bool adaptive_isa_available(AdaptiveIsa isa) {
+bool isa_available(Isa isa) {
   switch (isa) {
-    case AdaptiveIsa::kGeneric:
+    case Isa::kPortable:
       return true;
-    case AdaptiveIsa::kSse2:
 #if REPRO_HAVE_SSE2
-      return true;
-#else
-      return false;
+    case Isa::kSse2:
+      return true;  // the x86-64 baseline
+    case Isa::kSse41:
+      return __builtin_cpu_supports("sse4.1") != 0;
 #endif
-    case AdaptiveIsa::kAvx2:
-      return avx2_available();
-    case AdaptiveIsa::kAvx512bw:
 #if REPRO_ENABLE_AVX2
+    case Isa::kAvx2:
+      return __builtin_cpu_supports("avx2") != 0;
+    case Isa::kAvx512bw:
       return __builtin_cpu_supports("avx512bw") != 0;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-std::unique_ptr<Engine> make_adaptive_engine(AdaptiveIsa isa,
-                                             int stripe_cols) {
-  REPRO_CHECK_MSG(adaptive_isa_available(isa),
-                  "adaptive engine ISA not supported by this build or CPU");
-  switch (isa) {
-    case AdaptiveIsa::kGeneric:
-      return detail::make_adaptive_generic_engine(stripe_cols);
-#if REPRO_HAVE_SSE2
-    case AdaptiveIsa::kSse2:
-      return detail::make_adaptive_sse2_engine(stripe_cols);
-#endif
-#if REPRO_ENABLE_AVX2
-    case AdaptiveIsa::kAvx2:
-      return detail::make_adaptive_avx2_engine(stripe_cols);
-    case AdaptiveIsa::kAvx512bw:
-      return detail::make_adaptive_avx512_engine(stripe_cols);
 #endif
     default:
-      break;
+      return false;  // not compiled in
   }
-  return nullptr;  // unreachable: availability was checked above
+}
+
+const char* isa_name(Isa isa) {
+  static constexpr const char* kNames[] = {"generic", "sse2", "sse4.1", "avx2",
+                                           "avx512bw"};
+  return kNames[static_cast<int>(isa)];
+}
+
+std::span<const EngineSpec> engine_table() { return detail::kTable; }
+
+const EngineSpec& best_engine(Precision precision) {
+  const EngineSpec* best = nullptr;
+  for (const EngineSpec& spec : detail::kTable)
+    if (spec.precision == precision && spec.available() &&
+        (best == nullptr || spec.lanes > best->lanes ||
+         (spec.lanes == best->lanes && spec.isa > best->isa)))
+      best = &spec;
+  REPRO_CHECK(best != nullptr);  // every precision has a portable row
+  return *best;
+}
+
+const EngineSpec& engine_spec(EngineKind kind) {
+  if (kind == EngineKind::kSimdAuto) return best_engine(Precision::kAdaptive);
+  for (const EngineSpec& spec : detail::kTable)
+    if (spec.kind == kind) return spec;
+  util::check_failed("engine_spec(kind)", __FILE__, __LINE__,
+                     "engine kind " + std::to_string(static_cast<int>(kind)) +
+                         " is not built into this library (its ISA is "
+                         "compiled out)");
+}
+
+const EngineSpec& engine_spec(std::string_view name) {
+  if (name == "auto" || name == "best")
+    return engine_spec(EngineKind::kSimdAuto);
+  std::string names;
+  for (const EngineSpec& spec : detail::kTable) {
+    if (spec.name == name) return spec;
+    names += std::string(spec.name) + "|";
+  }
+  util::check_failed("engine_spec(name)", __FILE__, __LINE__,
+                     "unknown engine '" + std::string(name) + "' (" + names +
+                         "auto|best)");
 }
 
 std::unique_ptr<Engine> make_engine(EngineKind kind, int stripe_cols) {
-  switch (kind) {
-    case EngineKind::kScalar:
-      return detail::make_scalar_engine();
-    case EngineKind::kScalarStriped:
-      return detail::make_scalar_striped_engine(stripe_cols);
-    case EngineKind::kGeneralGap:
-      return detail::make_general_gap_engine();
-    case EngineKind::kSimd4:
-      return detail::make_simd_engine(4, stripe_cols);
-    case EngineKind::kSimd8:
-      return detail::make_simd_engine(8, stripe_cols);
-    case EngineKind::kSimd16:
-#if REPRO_ENABLE_AVX2
-      REPRO_CHECK_MSG(avx2_available(), "AVX2 not supported by this CPU");
-      return detail::make_simd_avx2_engine(stripe_cols);
-#else
-      REPRO_CHECK_MSG(false, "AVX2 engine not built (REPRO_ENABLE_AVX2=OFF)");
-      return nullptr;
-#endif
-    case EngineKind::kSimd4Generic:
-      return detail::make_simd_generic_engine(4, stripe_cols);
-    case EngineKind::kSimd8Generic:
-      return detail::make_simd_generic_engine(8, stripe_cols);
-    case EngineKind::kSimd4x32:
-#if REPRO_HAVE_SSE2
-      REPRO_CHECK_MSG(sse41_available(), "SSE4.1 not supported by this CPU");
-      return detail::make_simd_sse41_engine(stripe_cols);
-#else
-      REPRO_CHECK_MSG(false, "SSE4.1 engine not built");
-      return nullptr;
-#endif
-    case EngineKind::kSimd8x32:
-#if REPRO_ENABLE_AVX2
-      REPRO_CHECK_MSG(avx2_available(), "AVX2 not supported by this CPU");
-      return detail::make_simd_avx2_32_engine(stripe_cols);
-#else
-      REPRO_CHECK_MSG(false, "AVX2 engine not built");
-      return nullptr;
-#endif
-    case EngineKind::kSimd4x32Generic:
-      return detail::make_simd32_generic_engine(4, stripe_cols);
-    case EngineKind::kSimd16x8:
-#if REPRO_HAVE_SSE2
-      return detail::make_simd_u8_engine(stripe_cols);
-#else
-      REPRO_CHECK_MSG(false, "SSE2 not available in this build");
-      return nullptr;
-#endif
-    case EngineKind::kSimd32x8:
-#if REPRO_ENABLE_AVX2
-      REPRO_CHECK_MSG(avx2_available(), "AVX2 not supported by this CPU");
-      return detail::make_simd_avx2_u8_engine(stripe_cols);
-#else
-      REPRO_CHECK_MSG(false, "AVX2 engine not built");
-      return nullptr;
-#endif
-    case EngineKind::kSimd8x8Generic:
-      return detail::make_simd_u8_generic_engine(stripe_cols);
-    case EngineKind::kSimdAuto:
-      for (const AdaptiveIsa isa :
-           {AdaptiveIsa::kAvx512bw, AdaptiveIsa::kAvx2, AdaptiveIsa::kSse2})
-        if (adaptive_isa_available(isa))
-          return make_adaptive_engine(isa, stripe_cols);
-      return make_adaptive_engine(AdaptiveIsa::kGeneric, stripe_cols);
-    case EngineKind::kSimdAutoGeneric:
-      return make_adaptive_engine(AdaptiveIsa::kGeneric, stripe_cols);
-  }
-  REPRO_CHECK_MSG(false, "unknown engine kind");
-  return nullptr;  // unreachable
+  const EngineSpec& spec = engine_spec(kind);
+  REPRO_CHECK_MSG(spec.available(), spec.name << " needs " << isa_name(spec.isa)
+                                              << ", which this CPU lacks");
+  return spec.make(stripe_cols);
 }
 
+std::unique_ptr<Engine> make_best_engine() {
+  // The adaptive engine runs u8 lanes with lossless i16 escalation, so on
+  // the widest ISA it dominates every fixed-precision choice.
+  return make_engine(EngineKind::kSimdAuto);
+}
+
+EngineFactory engine_factory(EngineKind kind, int stripe_cols) {
+  return [kind, stripe_cols] { return make_engine(kind, stripe_cols); };
+}
+
+bool avx2_available() { return isa_available(Isa::kAvx2); }
+
+bool sse41_available() { return isa_available(Isa::kSse41); }
+
 Precision engine_precision(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kSimd4:
-    case EngineKind::kSimd8:
-    case EngineKind::kSimd16:
-    case EngineKind::kSimd4Generic:
-    case EngineKind::kSimd8Generic:
-      return Precision::kI16;
-    case EngineKind::kSimd16x8:
-    case EngineKind::kSimd32x8:
-    case EngineKind::kSimd8x8Generic:
-      return Precision::kI8;
-    case EngineKind::kSimdAuto:
-    case EngineKind::kSimdAutoGeneric:
-      return Precision::kAdaptive;
-    default:
-      return Precision::kI32;
-  }
+  return engine_spec(kind).precision;
 }
 
 bool precision_fits(Precision precision, int m, const seq::Scoring& scoring) {
@@ -374,28 +335,23 @@ bool precision_fits(Precision precision, int m, const seq::Scoring& scoring) {
 
 void check_headroom(EngineKind kind, int m, const seq::Scoring& scoring) {
   const Precision p = engine_precision(kind);
-  if (p == Precision::kI32 || p == Precision::kAdaptive) return;
   if (precision_fits(p, m, scoring)) return;
+  std::string wider;
+  // The multi-lane i32 rows and scalar: striped and general-gap are no
+  // faster than scalar on the long sequences that get here.
+  for (const EngineSpec& spec : engine_table())
+    if (spec.precision == Precision::kI32 && spec.available() &&
+        (spec.lanes > 1 || spec.kind == EngineKind::kScalar))
+      wider += std::string(wider.empty() ? "" : ", ") + spec.name;
   const std::int64_t bound =
       static_cast<std::int64_t>(m / 2) * scoring.matrix.max_score();
-  REPRO_CHECK_MSG(
-      false, "sequence of length "
-                 << m << " can reach score " << bound
-                 << ", beyond the selected "
-                 << (p == Precision::kI8 ? "u8" : "i16")
-                 << " engine's saturation headroom — use the adaptive "
-                    "engine (auto) or a wider one (simd4x32, simd8x32, or "
-                    "scalar)");
-}
-
-EngineFactory engine_factory(EngineKind kind, int stripe_cols) {
-  return [kind, stripe_cols] { return make_engine(kind, stripe_cols); };
-}
-
-std::unique_ptr<Engine> make_best_engine() {
-  // The adaptive engine picks the widest ISA itself and runs u8 lanes with
-  // lossless i16 escalation, so it dominates every fixed-precision choice.
-  return make_engine(EngineKind::kSimdAuto);
+  REPRO_CHECK_MSG(false, "sequence of length "
+                             << m << " can reach score " << bound
+                             << ", beyond the selected "
+                             << (p == Precision::kI8 ? "u8" : "i16")
+                             << " engine's saturation headroom — use the "
+                                "adaptive engine (auto) or a wider one ("
+                             << wider << ")");
 }
 
 }  // namespace repro::align

@@ -1,9 +1,10 @@
 // AVX2 engines, compiled with -mavx2 in their own translation unit.
-// Dispatch happens in make_engine() behind a runtime CPU check. Four
-// engines live here: 16 x i16, 8 x i32, 32 x u8 (biased saturating,
-// simd_ops_avx2.hpp), and the adaptive driver pairing the 32 x u8 kernel
-// with a double-pumped 32-lane i16 escalation path (two YMM registers per
-// vector; simd_engine_avx512.cpp holds the one-register variant).
+// Each engine is a row of the engine table (simd_engine.cpp), which runs it
+// behind a runtime CPU check. Four engines live here: 16 x i16, 8 x i32,
+// 32 x u8 (biased saturating, simd_ops_avx2.hpp), and the adaptive driver
+// pairing the 32 x u8 kernel with a double-pumped 32-lane i16 escalation
+// path (two YMM registers per vector; simd_engine_avx512.cpp holds the
+// one-register variant).
 #include <immintrin.h>
 
 #include "align/engine.hpp"

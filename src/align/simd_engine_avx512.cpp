@@ -1,6 +1,6 @@
 // AVX-512BW adaptive engine, compiled with -mavx512bw in its own
-// translation unit; make_engine(kSimdAuto) picks it behind a runtime CPU
-// check. It is auto-avx2 with a one-register i16 rung: the u8 sweep still
+// translation unit; make_engine(kSimdAuto) picks its row behind a runtime
+// CPU check. It is auto-avx2 with a one-register i16 rung: the u8 sweep still
 // runs 32 lanes in one YMM register (simd_ops_avx2.hpp), and an escalated
 // group's 32 i16 lanes fit one ZMM register instead of a double-pumped YMM
 // pair. Lane count, group geometry, checkpoint layout (c*32 + k, two bytes

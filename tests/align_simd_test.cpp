@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 
 #include "align/engine.hpp"
@@ -19,22 +21,15 @@ using seq::Scoring;
 
 /// Saturating i16 SIMD kinds available in this build/CPU.
 std::vector<EngineKind> simd_kinds() {
-  std::vector<EngineKind> kinds{EngineKind::kSimd4Generic,
-                                EngineKind::kSimd8Generic};
-#if REPRO_HAVE_SSE2
-  kinds.push_back(EngineKind::kSimd4);
-  kinds.push_back(EngineKind::kSimd8);
-#endif
-  if (avx2_available()) kinds.push_back(EngineKind::kSimd16);
-  return kinds;
+  return testing::available_kinds(
+      [](const EngineSpec& spec) { return spec.precision == Precision::kI16; });
 }
 
 /// 32-bit SIMD kinds (no saturation limit).
 std::vector<EngineKind> simd32_kinds() {
-  std::vector<EngineKind> kinds{EngineKind::kSimd4x32Generic};
-  if (sse41_available()) kinds.push_back(EngineKind::kSimd4x32);
-  if (avx2_available()) kinds.push_back(EngineKind::kSimd8x32);
-  return kinds;
+  return testing::available_kinds([](const EngineSpec& spec) {
+    return spec.precision == Precision::kI32 && spec.lanes > 1;
+  });
 }
 
 /// Everything the equivalence sweeps should cover.
@@ -101,18 +96,13 @@ TEST_P(SimdEquivalence, MatchesScalarWithOverrides) {
 std::string param_name(
     const ::testing::TestParamInfo<std::tuple<EngineKind, int>>& info) {
   const auto [kind, stripe] = info.param;
-  std::string name;
-  switch (kind) {
-    case EngineKind::kSimd4: name = "sse4"; break;
-    case EngineKind::kSimd8: name = "sse8"; break;
-    case EngineKind::kSimd16: name = "avx16"; break;
-    case EngineKind::kSimd4Generic: name = "gen4"; break;
-    case EngineKind::kSimd8Generic: name = "gen8"; break;
-    case EngineKind::kSimd4x32: name = "sse4x32"; break;
-    case EngineKind::kSimd8x32: name = "avx8x32"; break;
-    case EngineKind::kSimd4x32Generic: name = "gen4x32"; break;
-    default: name = "other"; break;
-  }
+  // gen / sse / avx prefix by ISA, then lanes, then x32 for i32 lanes.
+  const EngineSpec& spec = engine_spec(kind);
+  const std::string prefix = spec.isa == Isa::kPortable ? "gen"
+                             : spec.isa <= Isa::kSse41  ? "sse"
+                                                        : "avx";
+  const std::string name = prefix + std::to_string(spec.lanes) +
+                           (spec.precision == Precision::kI32 ? "x32" : "");
   return name + "_stripe" + (stripe < 0 ? "none" : std::to_string(stripe));
 }
 
@@ -127,19 +117,19 @@ std::vector<std::tuple<EngineKind, int>> make_params() {
 INSTANTIATE_TEST_SUITE_P(AllEngines, SimdEquivalence,
                          ::testing::ValuesIn(make_params()), param_name);
 
-// Every adaptive engine the host can run (auto reaches only the widest),
-// across the same stripe widths, plus a saturating input with dense
-// overrides: escalation, the early exit of u8 sweeps at stripe boundaries
-// and the per-word override chunks all meet there.
+// Every adaptive row of the table (auto reaches only the widest), across
+// the same stripe widths, plus a saturating input with dense overrides:
+// escalation, the early exit of u8 sweeps at stripe boundaries and the
+// per-word override chunks all meet there.
 class AdaptiveSimdEquivalence
-    : public ::testing::TestWithParam<std::tuple<AdaptiveIsa, int>> {
+    : public ::testing::TestWithParam<std::tuple<testing::AdaptiveRow, int>> {
  protected:
   void SetUp() override {
-    testing::skip_unless_available(std::get<0>(GetParam()));
+    testing::skip_unless_available(std::get<0>(GetParam()).spec());
   }
   [[nodiscard]] std::unique_ptr<Engine> engine() const {
-    const auto [isa, stripe] = GetParam();
-    return make_adaptive_engine(isa, stripe);
+    const auto [row, stripe] = GetParam();
+    return make_engine(row.spec().kind, stripe);
   }
 };
 
@@ -179,15 +169,16 @@ TEST_P(AdaptiveSimdEquivalence, MatchesScalarOnSaturatingInputWithOverrides) {
 }
 
 std::string adaptive_param_name(
-    const ::testing::TestParamInfo<std::tuple<AdaptiveIsa, int>>& info) {
-  const auto [isa, stripe] = info.param;
-  return testing::adaptive_isa_label(isa) + "_stripe" +
+    const ::testing::TestParamInfo<std::tuple<testing::AdaptiveRow, int>>&
+        info) {
+  const auto [row, stripe] = info.param;
+  return std::string(isa_name(row.spec().isa)) + "_stripe" +
          (stripe < 0 ? "none" : std::to_string(stripe));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     PerIsa, AdaptiveSimdEquivalence,
-    ::testing::Combine(::testing::ValuesIn(testing::all_adaptive_isas()),
+    ::testing::Combine(::testing::ValuesIn(testing::all_adaptive_rows()),
                        ::testing::Values(-1, 5, 33, 0)),
     adaptive_param_name);
 
@@ -319,6 +310,46 @@ TEST(SimdEngine, CellAccountingIncludesLanes) {
   }
   engine->align(job, outs);
   EXPECT_EQ(engine->cells_computed(), 57ull * 150ull * 8ull);
+}
+
+TEST(EngineTable, RowsDescribeTheirEngines) {
+  std::set<std::string> names;
+  std::set<EngineKind> kinds;
+  for (const EngineSpec& spec : engine_table()) {
+    EXPECT_TRUE(names.insert(spec.name).second) << spec.name;
+    EXPECT_TRUE(kinds.insert(spec.kind).second) << spec.name;
+    EXPECT_NE(spec.kind, EngineKind::kSimdAuto) << spec.name;
+    EXPECT_EQ(&engine_spec(spec.kind), &spec) << spec.name;
+    EXPECT_EQ(&engine_spec(std::string_view(spec.name)), &spec) << spec.name;
+    EXPECT_EQ(engine_precision(spec.kind), spec.precision) << spec.name;
+    if (!spec.available()) {
+      EXPECT_THROW(make_engine(spec.kind), std::logic_error) << spec.name;
+      continue;
+    }
+    EXPECT_EQ(make_engine(spec.kind)->lanes(), spec.lanes) << spec.name;
+  }
+  EXPECT_THROW(engine_spec("warp9"), std::logic_error);
+}
+
+TEST(EngineTable, BestEngineHasMostLanesThenHighestIsa) {
+  for (const Precision p : {Precision::kI8, Precision::kI16, Precision::kI32,
+                            Precision::kAdaptive}) {
+    const EngineSpec& best = best_engine(p);
+    EXPECT_TRUE(best.available()) << best.name;
+    EXPECT_EQ(best.precision, p) << best.name;
+    for (const EngineSpec& spec : engine_table()) {
+      if (spec.precision != p || !spec.available()) continue;
+      EXPECT_LE(spec.lanes, best.lanes) << spec.name << " vs " << best.name;
+      if (spec.lanes == best.lanes) {
+        EXPECT_LE(spec.isa, best.isa) << spec.name << " vs " << best.name;
+      }
+    }
+  }
+  const EngineSpec& adaptive = best_engine(Precision::kAdaptive);
+  EXPECT_EQ(&engine_spec(EngineKind::kSimdAuto), &adaptive);
+  EXPECT_EQ(&engine_spec("auto"), &adaptive);
+  EXPECT_EQ(&engine_spec("best"), &adaptive);
+  EXPECT_EQ(make_best_engine()->name(), make_engine(adaptive.kind)->name());
 }
 
 TEST(SimdEngine, BestEngineWorks) {

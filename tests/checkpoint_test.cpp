@@ -164,34 +164,29 @@ TEST(CheckpointCacheTest, SameRowStoreRecyclesBytes) {
 // ---------------------------------------------------------------------------
 // Kernel-level resume equivalence (randomized triangle-growth fuzz)
 
-std::vector<align::EngineKind> checkpoint_engine_kinds() {
-  std::vector<align::EngineKind> kinds{
-      align::EngineKind::kScalar, align::EngineKind::kScalarStriped,
-      align::EngineKind::kSimd4Generic, align::EngineKind::kSimd8Generic,
-      align::EngineKind::kSimd4x32Generic,
-      // Adaptive engines run everywhere: on inputs past the u8 headroom they
-      // escalate to i16 and must still honor every checkpoint contract.
-      align::EngineKind::kSimdAutoGeneric, align::EngineKind::kSimdAuto};
-#if REPRO_HAVE_SSE2
-  kinds.push_back(align::EngineKind::kSimd4);
-  kinds.push_back(align::EngineKind::kSimd8);
-  if (align::sse41_available()) kinds.push_back(align::EngineKind::kSimd4x32);
-#endif
-  if (align::avx2_available()) {
-    kinds.push_back(align::EngineKind::kSimd16);
-    kinds.push_back(align::EngineKind::kSimd8x32);
-  }
+/// Every engine this host runs that honours checkpoints (general-gap does
+/// not) and whose precision fits sequences up to length `max_m` under
+/// `scoring`. Adaptive engines fit everything: past the u8 headroom they
+/// escalate to i16 and must still honor every checkpoint contract.
+std::vector<align::EngineKind> checkpoint_kinds(int max_m,
+                                                const seq::Scoring& scoring) {
+  std::vector<align::EngineKind> kinds;
+  for (const align::EngineSpec& spec : align::engine_table())
+    if (spec.available() &&
+        align::precision_fits(spec.precision, max_m, scoring) &&
+        spec.make(0)->supports_checkpoints())
+      kinds.push_back(spec.kind);
   return kinds;
 }
 
-// Explicit u8 engines only accept inputs inside their biased saturation
-// headroom, so they get their own in-range DNA workloads below.
-std::vector<align::EngineKind> u8_engine_kinds() {
-  std::vector<align::EngineKind> kinds{align::EngineKind::kSimd8x8Generic};
-#if REPRO_HAVE_SSE2
-  kinds.push_back(align::EngineKind::kSimd16x8);
-#endif
-  if (align::avx2_available()) kinds.push_back(align::EngineKind::kSimd32x8);
+/// The u8 engines among checkpoint_kinds: they only accept inputs inside
+/// their biased saturation headroom, so they get in-range DNA workloads.
+std::vector<align::EngineKind> u8_checkpoint_kinds(
+    int max_m, const seq::Scoring& scoring) {
+  std::vector<align::EngineKind> kinds;
+  for (const auto kind : checkpoint_kinds(max_m, scoring))
+    if (align::engine_precision(kind) == align::Precision::kI8)
+      kinds.push_back(kind);
   return kinds;
 }
 
@@ -233,7 +228,7 @@ void expect_resume_from_every_depth(align::Engine& engine,
 TEST(CheckpointKernel, ResumeFromEveryDepthMatchesScratch) {
   const auto g = seq::synthetic_titin(160, 7);
   const seq::Scoring scoring = seq::Scoring::protein_default();
-  for (const auto kind : checkpoint_engine_kinds()) {
+  for (const auto kind : checkpoint_kinds(160, scoring)) {
     const auto engine = align::make_engine(kind);
     expect_resume_from_every_depth(*engine, g.sequence, scoring, 90, 11);
   }
@@ -300,7 +295,9 @@ void expect_triangle_growth_resume_equals_scratch(align::Engine& engine) {
 }
 
 TEST(CheckpointKernel, TriangleGrowthFuzzResumedEqualsScratch) {
-  for (const auto kind : checkpoint_engine_kinds()) {
+  // Sequences of up to 149 residues, protein or DNA.
+  for (const auto kind :
+       checkpoint_kinds(149, seq::Scoring::protein_default())) {
     const auto engine = align::make_engine(kind);
     expect_triangle_growth_resume_equals_scratch(*engine);
   }
@@ -309,7 +306,7 @@ TEST(CheckpointKernel, TriangleGrowthFuzzResumedEqualsScratch) {
 // The same contracts for every adaptive engine the host can run (auto only
 // reaches the widest), plus a group that escalates under fine striping: its
 // aborted u8 attempt must leave no u8 rows behind, only the i16 re-run's.
-using AdaptiveCheckpoint = testing::AdaptiveIsaTest;
+using AdaptiveCheckpoint = testing::AdaptiveRowTest;
 
 TEST_P(AdaptiveCheckpoint, ResumeFromEveryDepthMatchesScratch) {
   const auto g = seq::synthetic_titin(160, 7);
@@ -342,8 +339,8 @@ TEST_P(AdaptiveCheckpoint, EscalatedGroupKeepsOnlyI16Checkpoints) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PerIsa, AdaptiveCheckpoint,
-                         ::testing::ValuesIn(testing::all_adaptive_isas()),
-                         testing::adaptive_isa_param_name);
+                         ::testing::ValuesIn(testing::all_adaptive_rows()),
+                         testing::adaptive_row_param_name);
 
 TEST(CheckpointKernel, WideVectorResumesAcrossStripes) {
   // A resumed, striped sweep parks each stripe's entry diagonal in its own
@@ -396,7 +393,7 @@ TEST(CheckpointKernel, U8ResumeFromEveryDepthMatchesScratch) {
   const seq::Scoring scoring = seq::Scoring::paper_example();
   ASSERT_TRUE(align::precision_fits(align::Precision::kI8,
                                     g.sequence.length(), scoring));
-  for (const auto kind : u8_engine_kinds()) {
+  for (const auto kind : u8_checkpoint_kinds(200, scoring)) {
     const auto engine = align::make_engine(kind);
     const int count = engine->lanes();
     const int r0 = 110;
@@ -422,7 +419,7 @@ TEST(CheckpointKernel, U8TriangleGrowthFuzzResumedEqualsScratch) {
   // Randomized triangle growth for the u8 engines (DNA only, in-range);
   // override growth only lowers DP values, so clean u8 sweeps stay clean.
   const seq::Scoring dna = seq::Scoring::paper_example();
-  for (const auto kind : u8_engine_kinds()) {
+  for (const auto kind : u8_checkpoint_kinds(149, dna)) {
     const auto engine = align::make_engine(kind);
     for (int seed = 0; seed < 4; ++seed) {
       util::Rng rng(3100 + static_cast<std::uint64_t>(seed));
@@ -483,7 +480,7 @@ TEST(CheckpointKernel, U8TriangleGrowthFuzzResumedEqualsScratch) {
 TEST(CheckpointFinder, CacheOnMatchesCacheOffAcrossEnginesAndMemoryModes) {
   const auto g = seq::synthetic_titin(260, 22);
   const seq::Scoring scoring = seq::Scoring::protein_default();
-  for (const auto kind : checkpoint_engine_kinds()) {
+  for (const auto kind : checkpoint_kinds(260, scoring)) {
     for (const auto memory :
          {core::MemoryMode::kArchiveRows, core::MemoryMode::kRecomputeRows}) {
       FinderOptions off;

@@ -7,8 +7,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <sys/wait.h>
+
+#include "align/engine.hpp"
+#include "seq/scoring.hpp"
 
 #ifndef REPRO_CLI_PATH
 #error "REPRO_CLI_PATH must be defined by the build"
@@ -44,15 +48,59 @@ std::string temp_fasta() {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
+/// The engine names `reprofind info` marks available ("  [x] <name> ...").
+std::vector<std::string> available_engines(const std::string& info) {
+  std::vector<std::string> names;
+  std::istringstream lines(info);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  [x] ", 0) != 0) continue;
+    std::istringstream rest(line.substr(6));
+    std::string name;
+    rest >> name;
+    names.push_back(name);
+  }
+  return names;
+}
+
 TEST(Cli, InfoListsEngines) {
   const RunResult r = run_cli("info");
   EXPECT_EQ(r.status, 0) << r.out;
   EXPECT_NE(r.out.find("scalar"), std::string::npos);
   EXPECT_NE(r.out.find("default engine"), std::string::npos);
-  // Every adaptive rung is listed, available on this host or not.
-  for (const char* rung : {"auto-sse2", "auto-avx2", "auto-avx512",
-                           "auto-generic"})
-    EXPECT_NE(r.out.find(rung), std::string::npos) << rung;
+  // Every engine of the table is listed (every adaptive rung among them),
+  // available on this host or not.
+  for (const auto& spec : repro::align::engine_table())
+    EXPECT_NE(r.out.find(spec.name), std::string::npos) << spec.name;
+}
+
+TEST(Cli, EveryAvailableEngineFindsTheScalarTops) {
+  // `info` lists exactly the engines this host runs, and `find --engine`
+  // takes each of those names and reproduces the scalar engine's tops.
+  const std::string fasta = temp_fasta();
+  ASSERT_EQ(run_cli("generate --kind dna --length 200 --unit 10 --copies 6 "
+                    "--out " + fasta).status, 0);
+  // reprofind's DNA scoring: m = 200 fits every precision's headroom.
+  const repro::seq::Scoring dna{repro::seq::ScoreMatrix::dna(2, -3),
+                                repro::seq::GapPenalty{5, 2}};
+  std::vector<std::string> expected;
+  for (const auto& spec : repro::align::engine_table()) {
+    ASSERT_TRUE(repro::align::precision_fits(spec.precision, 200, dna))
+        << spec.name;
+    if (spec.available()) expected.emplace_back(spec.name);
+  }
+  const RunResult info = run_cli("info");
+  ASSERT_EQ(info.status, 0) << info.out;
+  EXPECT_EQ(available_engines(info.out), expected) << info.out;
+
+  const std::string find = "find --fasta " + fasta +
+                           " --alphabet dna --tops 4 --format csv --engine ";
+  const RunResult scalar = run_cli(find + "scalar");
+  ASSERT_EQ(scalar.status, 0) << scalar.out;
+  for (const auto& name : available_engines(info.out)) {
+    const RunResult r = run_cli(find + name);
+    EXPECT_EQ(r.status, 0) << name << ": " << r.out;
+    EXPECT_EQ(r.out, scalar.out) << name;
+  }
 }
 
 TEST(Cli, NoArgsPrintsUsage) {
@@ -204,6 +252,8 @@ TEST(Cli, BadEngineNameFails) {
       run_cli("find --fasta " + fasta + " --alphabet dna --engine warp9");
   EXPECT_NE(r.status, 0);
   EXPECT_NE(r.out.find("unknown engine"), std::string::npos);
+  for (const auto& spec : repro::align::engine_table())  // the valid names
+    EXPECT_NE(r.out.find(spec.name), std::string::npos) << spec.name;
 }
 
 TEST(Cli, I16EngineRejectsOverflowingSequenceUpfront) {
@@ -219,7 +269,17 @@ TEST(Cli, I16EngineRejectsOverflowingSequenceUpfront) {
   EXPECT_NE(r.status, 0);
   EXPECT_NE(r.out.find("saturation headroom"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("adaptive"), std::string::npos) << r.out;
-  EXPECT_NE(r.out.find("simd8x32"), std::string::npos) << r.out;
+  // ... and every multi-lane i32 engine this host runs (simd8x32 on AVX2
+  // hosts), plus scalar; not the one-lane striped or general-gap engines.
+  for (const auto& spec : repro::align::engine_table()) {
+    if (spec.precision != repro::align::Precision::kI32 || !spec.available())
+      continue;
+    if (spec.lanes > 1 || spec.kind == repro::align::EngineKind::kScalar) {
+      EXPECT_NE(r.out.find(spec.name), std::string::npos) << spec.name;
+    } else {
+      EXPECT_EQ(r.out.find(spec.name), std::string::npos) << spec.name;
+    }
+  }
 }
 
 TEST(Cli, U8EngineRejectsOverflowingSequenceUpfront) {

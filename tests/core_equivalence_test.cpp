@@ -80,36 +80,16 @@ TEST_P(Equivalence, EveryEngineProducesIdenticalTops) {
   const auto scalar = align::make_engine(align::EngineKind::kScalar);
   const auto reference = find_top_alignments(c.sequence, c.scoring, opt, *scalar);
 
-  std::vector<align::EngineKind> kinds{align::EngineKind::kScalarStriped,
-                                       align::EngineKind::kGeneralGap,
-                                       align::EngineKind::kSimd4Generic,
-                                       align::EngineKind::kSimd8Generic,
-                                       align::EngineKind::kSimd4x32Generic,
-                                       align::EngineKind::kSimdAutoGeneric,
-                                       align::EngineKind::kSimdAuto};
-#if REPRO_HAVE_SSE2
-  kinds.push_back(align::EngineKind::kSimd4);
-  kinds.push_back(align::EngineKind::kSimd8);
-  if (align::sse41_available()) kinds.push_back(align::EngineKind::kSimd4x32);
-#endif
-  if (align::avx2_available()) {
-    kinds.push_back(align::EngineKind::kSimd16);
-    kinds.push_back(align::EngineKind::kSimd8x32);
-  }
-  // Explicit u8 engines throw on inputs past their biased headroom, so gate
-  // them on precision_fits; adaptive kinds above run everywhere (they
-  // escalate to i16 transparently, which must stay lossless).
-  if (align::precision_fits(align::Precision::kI8, c.sequence.length(),
-                            c.scoring)) {
-    kinds.push_back(align::EngineKind::kSimd8x8Generic);
-#if REPRO_HAVE_SSE2
-    kinds.push_back(align::EngineKind::kSimd16x8);
-#endif
-    if (align::avx2_available()) kinds.push_back(align::EngineKind::kSimd32x8);
-  }
-
-  for (const auto kind : kinds) {
-    const auto engine = align::make_engine(kind);
+  // Every engine this host runs whose precision fits the case: explicit u8
+  // engines throw on inputs past their biased headroom, while adaptive
+  // engines run everywhere (they escalate to i16 transparently, which must
+  // stay lossless).
+  for (const align::EngineSpec& spec : align::engine_table()) {
+    if (!spec.available() || !align::precision_fits(spec.precision,
+                                                    c.sequence.length(),
+                                                    c.scoring))
+      continue;
+    const auto engine = align::make_engine(spec.kind);
     const auto res = find_top_alignments(c.sequence, c.scoring, opt, *engine);
     std::string diff;
     EXPECT_TRUE(same_tops(reference.tops, res.tops, &diff))

@@ -36,17 +36,11 @@ seq::Sequence homopolymer(int m) {
                                     seq::Alphabet::dna());
 }
 
-std::vector<EngineKind> adaptive_kinds() {
-  return {EngineKind::kSimdAutoGeneric, EngineKind::kSimdAuto};
-}
-
-std::vector<EngineKind> explicit_u8_kinds() {
-  std::vector<EngineKind> kinds{EngineKind::kSimd8x8Generic};
-#if REPRO_HAVE_SSE2
-  kinds.push_back(EngineKind::kSimd16x8);
-#endif
-  if (align::avx2_available()) kinds.push_back(EngineKind::kSimd32x8);
-  return kinds;
+/// Kinds of every engine of `precision` this host runs.
+std::vector<EngineKind> kinds_of(Precision precision) {
+  return testing::available_kinds([precision](const align::EngineSpec& spec) {
+    return spec.precision == precision;
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -117,7 +111,7 @@ TEST(PrecisionSaturation, HomopolymerAtCeilingStaysCleanAndMatchesScalar) {
   opt.num_top_alignments = 2;
   const auto scalar = align::make_engine(EngineKind::kScalar);
   const auto reference = find_top_alignments(s, dna, opt, *scalar);
-  for (const auto kind : explicit_u8_kinds()) {
+  for (const auto kind : kinds_of(Precision::kI8)) {
     const auto engine = align::make_engine(kind);
     const auto res = find_top_alignments(s, dna, opt, *engine);
     std::string diff;
@@ -137,14 +131,14 @@ TEST(PrecisionSaturation, PastCeilingExplicitU8ThrowsAdaptiveEscalates) {
   ASSERT_FALSE(align::precision_fits(Precision::kI8, s.length(), dna));
   FinderOptions opt;
   opt.num_top_alignments = 2;
-  for (const auto kind : explicit_u8_kinds()) {
+  for (const auto kind : kinds_of(Precision::kI8)) {
     const auto engine = align::make_engine(kind);
     EXPECT_THROW(find_top_alignments(s, dna, opt, *engine), std::logic_error)
         << engine->name();
   }
   const auto scalar = align::make_engine(EngineKind::kScalar);
   const auto reference = find_top_alignments(s, dna, opt, *scalar);
-  for (const auto kind : adaptive_kinds()) {
+  for (const auto kind : kinds_of(Precision::kAdaptive)) {
     const auto engine = align::make_engine(kind);
     const auto res = find_top_alignments(s, dna, opt, *engine);
     std::string diff;
@@ -179,7 +173,7 @@ TEST(PrecisionAdaptive, EscalatesOnProteinAndMatchesScalar) {
   opt.num_top_alignments = 6;
   const auto scalar = align::make_engine(EngineKind::kScalar);
   const auto reference = find_top_alignments(g.sequence, protein, opt, *scalar);
-  for (const auto kind : adaptive_kinds()) {
+  for (const auto kind : kinds_of(Precision::kAdaptive)) {
     const auto engine = align::make_engine(kind);
     const auto res = find_top_alignments(g.sequence, protein, opt, *engine);
     std::string diff;
@@ -203,7 +197,7 @@ TEST(PrecisionAdaptive, StaysI8InRangeAndReusesProfile) {
   const seq::Scoring dna = seq::Scoring::paper_example();
   FinderOptions opt;
   opt.num_top_alignments = 5;
-  for (const auto kind : adaptive_kinds()) {
+  for (const auto kind : kinds_of(Precision::kAdaptive)) {
     const auto engine = align::make_engine(kind);
     const auto res = find_top_alignments(s, dna, opt, *engine);
     const auto stats = engine->precision_stats();
@@ -248,7 +242,7 @@ TEST(PrecisionAdaptive, ParallelAutoMatchesSequentialAndSumsStats) {
 // Every adaptive engine the host runs (make_engine(kSimdAuto) reaches only
 // the widest one): lossless escalation and in-range u8 sweeps
 
-using AdaptivePrecision = testing::AdaptiveIsaTest;
+using AdaptivePrecision = testing::AdaptiveRowTest;
 
 TEST_P(AdaptivePrecision, PastCeilingEscalatesAndMatchesScalar) {
   const seq::Sequence s = homopolymer(254);
@@ -318,8 +312,8 @@ TEST_P(AdaptivePrecision, GroupSaturatingInLastStripeEscalatesOnce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PerIsa, AdaptivePrecision,
-                         ::testing::ValuesIn(testing::all_adaptive_isas()),
-                         testing::adaptive_isa_param_name);
+                         ::testing::ValuesIn(testing::all_adaptive_rows()),
+                         testing::adaptive_row_param_name);
 
 // ---------------------------------------------------------------------------
 // Early exit of saturating u8 sweeps (kernel protocol, portable lanes)

@@ -110,44 +110,75 @@ inline std::vector<std::vector<align::Score>> align_group(
   return rows;
 }
 
-/// Every adaptive-engine ISA, narrowest first. make_engine(kSimdAuto) only
-/// reaches the widest one the host runs, so tests parametrize over these.
-inline std::vector<align::AdaptiveIsa> all_adaptive_isas() {
-  return {align::AdaptiveIsa::kGeneric, align::AdaptiveIsa::kSse2,
-          align::AdaptiveIsa::kAvx2, align::AdaptiveIsa::kAvx512bw};
+/// Every row of the engine table this build compiled in, available on this
+/// CPU or not, that satisfies `keep`.
+template <class Pred>
+std::vector<const align::EngineSpec*> engine_rows(Pred keep) {
+  std::vector<const align::EngineSpec*> rows;
+  for (const align::EngineSpec& spec : align::engine_table())
+    if (keep(spec)) rows.push_back(&spec);
+  return rows;
 }
 
-inline std::string adaptive_isa_label(align::AdaptiveIsa isa) {
-  switch (isa) {
-    case align::AdaptiveIsa::kGeneric: return "generic";
-    case align::AdaptiveIsa::kSse2: return "sse2";
-    case align::AdaptiveIsa::kAvx2: return "avx2";
-    case align::AdaptiveIsa::kAvx512bw: return "avx512bw";
-  }
-  return "unknown";
+/// Kinds of the rows this host runs that satisfy `keep`, in table order.
+template <class Pred>
+std::vector<align::EngineKind> available_kinds(Pred keep) {
+  std::vector<align::EngineKind> kinds;
+  for (const align::EngineSpec* spec : engine_rows(keep))
+    if (spec->available()) kinds.push_back(spec->kind);
+  return kinds;
 }
 
-/// Marks the running test skipped, visibly, when this build or CPU lacks
-/// `isa`. Call it from SetUp: gtest then never runs the test body.
-inline void skip_unless_available(align::AdaptiveIsa isa) {
-  if (!align::adaptive_isa_available(isa))
-    GTEST_SKIP() << adaptive_isa_label(isa)
-                 << " adaptive engine not supported by this build or CPU";
+/// Marks the running test skipped, visibly, when this CPU cannot run
+/// `spec`. Call it from SetUp: gtest then never runs the test body.
+inline void skip_unless_available(const align::EngineSpec& spec) {
+  if (!spec.available())
+    GTEST_SKIP() << spec.name << " needs " << align::isa_name(spec.isa)
+                 << ", which this CPU lacks";
 }
 
-/// Fixture for tests parametrized over all_adaptive_isas().
-class AdaptiveIsaTest : public ::testing::TestWithParam<align::AdaptiveIsa> {
- protected:
-  void SetUp() override { skip_unless_available(GetParam()); }
-  [[nodiscard]] std::unique_ptr<align::Engine> engine(
-      int stripe_cols = 0) const {
-    return align::make_adaptive_engine(GetParam(), stripe_cols);
+/// The adaptive rows, narrowest ISA first.
+inline std::vector<const align::EngineSpec*> adaptive_specs() {
+  return engine_rows([](const align::EngineSpec& spec) {
+    return spec.precision == align::Precision::kAdaptive;
+  });
+}
+
+/// An adaptive row of the engine table, by its position in
+/// adaptive_specs(). make_engine(kSimdAuto) only reaches the widest one the
+/// host runs, so tests parametrize over these. The parameter is a 4-byte
+/// index rather than the row's EngineKind because gtest_discover_tests puts
+/// GetParam()'s byte dump into every ctest name: an index keeps the
+/// `PerIsa/*` names as they were before the engine table.
+struct AdaptiveRow {
+  int index;
+
+  [[nodiscard]] const align::EngineSpec& spec() const {
+    return *adaptive_specs()[static_cast<std::size_t>(index)];
   }
 };
 
-inline std::string adaptive_isa_param_name(
-    const ::testing::TestParamInfo<align::AdaptiveIsa>& info) {
-  return adaptive_isa_label(info.param);
+inline std::vector<AdaptiveRow> all_adaptive_rows() {
+  std::vector<AdaptiveRow> rows;
+  for (std::size_t i = 0; i < adaptive_specs().size(); ++i)
+    rows.push_back({static_cast<int>(i)});
+  return rows;
+}
+
+/// Fixture for tests parametrized over all_adaptive_rows().
+class AdaptiveRowTest : public ::testing::TestWithParam<AdaptiveRow> {
+ protected:
+  void SetUp() override { skip_unless_available(GetParam().spec()); }
+  [[nodiscard]] std::unique_ptr<align::Engine> engine(
+      int stripe_cols = 0) const {
+    return align::make_engine(GetParam().spec().kind, stripe_cols);
+  }
+};
+
+/// "generic", "sse2", "avx2" or "avx512bw": the row's ISA.
+inline std::string adaptive_row_param_name(
+    const ::testing::TestParamInfo<AdaptiveRow>& info) {
+  return align::isa_name(info.param.spec().isa);
 }
 
 }  // namespace repro::testing

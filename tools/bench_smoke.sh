@@ -31,7 +31,7 @@ trap 'rm -rf "$out_dir"' EXIT
 # in bench/bench_common.hpp). A filter keeps the smoke fast; the output is
 # validated structurally, not against a baseline (raw ns vary per host).
 "$build/bench/bench_kernels" \
-  --benchmark_filter='BM_Scalar/1000|BM_ScalarResume/2000' \
+  --benchmark_filter='BM_scalar/1000|BM_ScalarResume/2000' \
   --benchmark_min_time=0.05 \
   --benchmark_format=json >"$out_dir/kernels.json" 2>/dev/null
 

@@ -8,10 +8,21 @@ no-kernel-locks       DP kernel translation units must contain no mutex /
                       the REPRO_OBS=OFF build guarantees zero synchronisation
                       in the cell loops, and relaxed override-bit loads are
                       the only sanctioned atomic access.
-engine-test-coverage  every EngineKind enumerator must be exercised by
-                      tests/core_equivalence_test.cpp, and every enumerator
-                      except kGeneralGap (no checkpoint support) by
-                      tests/checkpoint_test.cpp.
+engine-test-coverage  tests/core_equivalence_test.cpp and
+                      tests/checkpoint_test.cpp loop over align::engine_table()
+                      instead of keeping hand lists of EngineKinds, and pick
+                      rows by neither ISA, lane count nor kind; the
+                      checkpoint suite keeps the rows whose engine
+                      supports_checkpoints(). So both cover every engine the
+                      host runs, including engines added later.
+one-engine-table      C++ files outside src/align/ may not use
+                      REPRO_HAVE_SSE2, REPRO_ENABLE_AVX2,
+                      __builtin_cpu_supports, avx2_available or
+                      sse41_available: which engines exist and run here is
+                      the engine table's business (engine_table(),
+                      EngineSpec::available()). perfbench/ is exempt: the
+                      benchmark is frozen, and the two functions stay for
+                      it.
 no-raw-new-delete     no raw new / delete expressions in src/ (containers,
                       unique_ptr and the aligned allocator cover every need);
                       `= delete` declarations are fine.
@@ -223,33 +234,61 @@ def check_kernel_locks() -> None:
                      "loops; only relaxed loads are sanctioned)")
 
 
+ENGINE_SUITES = ["tests/core_equivalence_test.cpp", "tests/checkpoint_test.cpp"]
+HAND_KIND_LIST = re.compile(
+    r"EngineKind::k\w+\s*,\s*(?:align::)?EngineKind::k\w+|"
+    r"(?:push_back|emplace_back)\(\s*(?:align::)?EngineKind::k")
+ROW_PICK = re.compile(r"\.(?:isa|lanes|kind)\s*(?:==|!=|<=|>=|<(?!<)|>(?!>))")
+
+
 def check_engine_coverage() -> None:
-    engine_hpp = (ROOT / "src/align/engine.hpp").read_text()
-    enum_body = re.search(r"enum class EngineKind \{(.*?)\};", engine_hpp,
-                          re.DOTALL)
-    if not enum_body:
-        fail(ROOT / "src/align/engine.hpp", 1, "engine-test-coverage",
-             "could not parse enum class EngineKind")
-        return
-    kinds = re.findall(r"\b(k[A-Z]\w*)\b",
-                       strip_comments_and_strings(enum_body.group(1)))
-    if not kinds:
-        fail(ROOT / "src/align/engine.hpp", 1, "engine-test-coverage",
-             "EngineKind enum parsed empty")
-        return
-    suites = {
-        "tests/core_equivalence_test.cpp": set(kinds),
-        # kGeneralGap is the one engine without checkpoint support.
-        "tests/checkpoint_test.cpp": set(kinds) - {"kGeneralGap"},
-    }
-    for rel, required in suites.items():
+    for rel in ENGINE_SUITES:
         path = ROOT / rel
-        text = path.read_text()
-        for kind in sorted(required):
-            if not re.search(rf"\b{kind}\b", text):
-                fail(path, 1, "engine-test-coverage",
-                     f"EngineKind::{kind} is registered in engine.hpp but "
-                     f"never exercised by {rel}")
+        raw = path.read_text()
+        code = strip_comments_and_strings(raw)
+        if "engine_table()" not in code:
+            fail(path, 1, "engine-test-coverage",
+                 f"{rel} must loop over align::engine_table() so it covers "
+                 "every engine the host runs")
+        if (rel.endswith("checkpoint_test.cpp")
+                and "supports_checkpoints()" not in code):
+            fail(path, 1, "engine-test-coverage",
+                 f"{rel} must keep the rows whose engine "
+                 "supports_checkpoints()")
+        raw_lines = raw.splitlines()
+        for pattern, what in ((HAND_KIND_LIST, "a hand list of EngineKinds"),
+                              (ROW_PICK, "a row pick by ISA, lanes or kind")):
+            for m in pattern.finditer(code):
+                no = code.count("\n", 0, m.start()) + 1
+                if allowed(raw_lines[no - 1], "engine-test-coverage"):
+                    continue
+                fail(path, no, "engine-test-coverage",
+                     f"'{m.group(0)}' is {what}: loop over "
+                     "align::engine_table() instead")
+
+
+ENGINE_TABLE_GLOBS = [f"{d}/**/*.{ext}"
+                      for d in ("src", "tools", "bench", "tests", "fuzz",
+                                "examples", "perfbench")
+                      for ext in ("cpp", "hpp")]
+ENGINE_TABLE_TOKENS = re.compile(
+    r"\b(REPRO_HAVE_SSE2|REPRO_ENABLE_AVX2|__builtin_cpu_supports|"
+    r"avx2_available|sse41_available)\b")
+
+
+def check_one_engine_table() -> None:
+    for path in glob_files(ENGINE_TABLE_GLOBS):
+        parts = path.relative_to(ROOT).parts
+        if parts[0] == "perfbench" or parts[:2] == ("src", "align"):
+            continue
+        raw = path.read_text().splitlines()
+        code = strip_comments_and_strings(path.read_text()).splitlines()
+        for no, (raw_line, code_line) in enumerate(zip(raw, code), start=1):
+            m = ENGINE_TABLE_TOKENS.search(code_line)
+            if m and not allowed(raw_line, "one-engine-table"):
+                fail(path, no, "one-engine-table",
+                     f"'{m.group(0)}' outside src/align/: loop over "
+                     "align::engine_table() and ask EngineSpec::available()")
 
 
 def check_raw_new_delete() -> None:
@@ -357,6 +396,7 @@ def check_format_fallback() -> None:
 def main() -> int:
     check_kernel_locks()
     check_engine_coverage()
+    check_one_engine_table()
     check_raw_new_delete()
     check_metrics_naming()
     check_one_search_core()

@@ -10,6 +10,7 @@
 // `find` computes nonoverlapping top alignments (optionally in parallel) and
 // delineates repeat regions; output formats: text (default), json, csv.
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 
 #include "align/engine.hpp"
@@ -30,50 +31,18 @@ namespace {
 
 using namespace repro;
 
-align::EngineKind engine_kind_from(const std::string& name) {
-  if (name == "scalar") return align::EngineKind::kScalar;
-  if (name == "striped") return align::EngineKind::kScalarStriped;
-  if (name == "simd4") return align::EngineKind::kSimd4;
-  if (name == "simd8") return align::EngineKind::kSimd8;
-  if (name == "simd16") return align::EngineKind::kSimd16;
-  if (name == "simd4x32") return align::EngineKind::kSimd4x32;
-  if (name == "simd8x32") return align::EngineKind::kSimd8x32;
-  if (name == "simd16x8") return align::EngineKind::kSimd16x8;
-  if (name == "simd32x8") return align::EngineKind::kSimd32x8;
-  if (name == "auto") return align::EngineKind::kSimdAuto;
-  if (name == "auto-generic") return align::EngineKind::kSimdAutoGeneric;
-  REPRO_CHECK_MSG(false, "unknown engine '" << name
-                                            << "' (scalar|striped|simd4|simd8|"
-                                               "simd16|simd4x32|simd8x32|"
-                                               "simd16x8|simd32x8|auto|"
-                                               "auto-generic)");
-  return align::EngineKind::kScalar;
-}
-
-/// Widest available engine of the requested element precision.
-align::EngineKind engine_kind_for_precision(const std::string& precision) {
-  if (precision == "auto") return align::EngineKind::kSimdAuto;
-  if (precision == "i8") {
-    if (align::avx2_available()) return align::EngineKind::kSimd32x8;
-#if REPRO_HAVE_SSE2
-    return align::EngineKind::kSimd16x8;
-#else
-    return align::EngineKind::kSimd8x8Generic;
-#endif
-  }
-  if (precision == "i16") {
-    if (align::avx2_available()) return align::EngineKind::kSimd16;
-#if REPRO_HAVE_SSE2
-    return align::EngineKind::kSimd8;
-#else
-    return align::EngineKind::kSimd8Generic;
-#endif
-  }
-  if (precision == "i32") {
-    if (align::avx2_available()) return align::EngineKind::kSimd8x32;
-    if (align::sse41_available()) return align::EngineKind::kSimd4x32;
-    return align::EngineKind::kScalar;
-  }
+/// The engine a run uses: the --engine row, or for "best" the widest row of
+/// the requested --precision (auto = adaptive).
+align::EngineKind engine_kind_for(const std::string& engine,
+                                  const std::string& precision) {
+  if (engine != "best") return align::engine_spec(engine).kind;
+  const std::pair<const char*, align::Precision> precisions[] = {
+      {"auto", align::Precision::kAdaptive},
+      {"i8", align::Precision::kI8},
+      {"i16", align::Precision::kI16},
+      {"i32", align::Precision::kI32}};
+  for (const auto& [name, p] : precisions)
+    if (precision == name) return align::best_engine(p).kind;
   REPRO_CHECK_MSG(false, "unknown precision '" << precision
                                                << "' (auto|i8|i16|i32)");
   return align::EngineKind::kSimdAuto;
@@ -185,8 +154,8 @@ int cmd_find(int argc, char** argv) {
                    {"tops", "top alignments per sequence (default 20)"},
                    {"min-score", "stop below this score (default 1)"},
                    {"engine",
-                    "scalar|striped|simd4|simd8|simd16|simd4x32|simd8x32|"
-                    "simd16x8|simd32x8|auto|auto-generic|best"},
+                    "an engine `reprofind info` lists, or auto | best "
+                    "(default; the widest adaptive engine)"},
                    {"precision",
                     "lane element width for the best engine: auto (default; "
                     "u8 with lossless i16 escalation) | i8 | i16 | i32 — "
@@ -223,6 +192,16 @@ int cmd_find(int argc, char** argv) {
                     "the obs registry) to this path"}});
   if (args.help_requested()) return 0;
   REPRO_CHECK_MSG(args.has("fasta"), "--fasta is required (see --help)");
+  const std::string engine_name = args.get("engine", "best");
+  REPRO_CHECK_MSG(engine_name == "best" || !args.has("precision"),
+                  "--precision selects among the best engines of that width; "
+                  "it cannot be combined with an explicit --engine");
+  // Every run resolves, before any input is read, to one concrete kind: an
+  // explicit --engine, the widest engine of the requested --precision, or
+  // the adaptive default ("best" = auto: u8 lanes with transparent,
+  // lossless i16 escalation).
+  const align::EngineKind kind =
+      engine_kind_for(engine_name, args.get("precision", "auto"));
 
   const bool dna = args.get("alphabet", "protein") == "dna";
   const auto& alphabet = dna ? seq::Alphabet::dna() : seq::Alphabet::protein();
@@ -267,17 +246,6 @@ int cmd_find(int argc, char** argv) {
         static_cast<std::uint64_t>(args.get_int("fault-seed", 0)), ranks);
   if (args.has("fault-plan"))
     copt.fault_plan = cluster::FaultPlan::parse(args.get("fault-plan", ""));
-  const std::string engine_name = args.get("engine", "best");
-  REPRO_CHECK_MSG(engine_name == "best" || !args.has("precision"),
-                  "--precision selects among the best engines of that width; "
-                  "it cannot be combined with an explicit --engine");
-  // Every run resolves to one concrete kind: an explicit --engine, the
-  // widest engine of the requested --precision, or the adaptive default
-  // ("best" = auto: u8 lanes with transparent, lossless i16 escalation).
-  const align::EngineKind kind =
-      engine_name != "best"
-          ? engine_kind_from(engine_name)
-          : engine_kind_for_precision(args.get("precision", "auto"));
   const bool want_repeats = args.get_flag("repeats");
   const std::string format = args.get("format", "text");
   const std::string metrics_path = args.get("metrics-json", "");
@@ -463,35 +431,14 @@ int cmd_generate(int argc, char** argv) {
 }
 
 int cmd_info() {
-  std::cout << "reprolib engines available on this host:\n";
-  const std::vector<std::pair<std::string, bool>> engines{
-      {"scalar (32-bit reference)", true},
-      {"scalar-striped", true},
-      {"general-gap (old-algorithm kernel)", true},
-#if REPRO_HAVE_SSE2
-      {"simd4-sse2 / simd8-sse2 (i16)", true},
-#else
-      {"simd4-sse2 / simd8-sse2 (i16)", false},
-#endif
-      {"simd4x32-sse41 (i32)", align::sse41_available()},
-      {"simd16-avx2 (i16)", align::avx2_available()},
-      {"simd8x32-avx2 (i32)", align::avx2_available()},
-#if REPRO_HAVE_SSE2
-      {"simd16x8-sse2 (u8, biased saturating)", true},
-#else
-      {"simd16x8-sse2 (u8, biased saturating)", false},
-#endif
-      {"simd32x8-avx2 (u8, biased saturating)", align::avx2_available()},
-      {"auto-sse2 (adaptive u8 -> i16, 16 lanes)",
-       align::adaptive_isa_available(align::AdaptiveIsa::kSse2)},
-      {"auto-avx2 (adaptive u8 -> i16, 32 lanes, i16 in two YMM)",
-       align::adaptive_isa_available(align::AdaptiveIsa::kAvx2)},
-      {"auto-avx512 (adaptive u8 -> i16, 32 lanes, i16 in one ZMM)",
-       align::adaptive_isa_available(align::AdaptiveIsa::kAvx512bw)},
-      {"auto-generic (adaptive u8 -> i16, portable)", true},
-  };
-  for (const auto& [name, ok] : engines)
-    std::cout << "  [" << (ok ? 'x' : ' ') << "] " << name << '\n';
+  std::cout << "reprolib engines ([x] = runs on this host; --engine takes "
+               "the first column):\n";
+  const char* const precision_names[] = {"u8", "i16", "i32", "u8 -> i16"};
+  for (const align::EngineSpec& spec : align::engine_table())
+    std::cout << "  [" << (spec.available() ? 'x' : ' ') << "] " << std::left
+              << std::setw(18) << spec.name << std::setw(10)
+              << align::isa_name(spec.isa) << spec.lanes << " x "
+              << precision_names[static_cast<int>(spec.precision)] << '\n';
   std::cout << "default engine: " << align::make_best_engine()->name() << '\n';
   return 0;
 }
