@@ -22,7 +22,10 @@ void BottomRowStore::store(int r, std::span<const Score> row) {
   for (std::size_t x = 0; x < row.size(); ++x) {
     REPRO_CHECK_MSG(row[x] >= std::numeric_limits<std::int16_t>::min() &&
                         row[x] <= std::numeric_limits<std::int16_t>::max(),
-                    "score " << row[x] << " overflows the i16 bottom-row store");
+                    "score " << row[x]
+                             << " overflows the i16 bottom-row archive; "
+                                "rerun with --precision i32 --low-memory, "
+                                "which recomputes bottom rows instead");
     dst[x] = static_cast<std::int16_t>(row[x]);
   }
   computed_[static_cast<std::size_t>(r)] = 1;

@@ -1,12 +1,15 @@
-// SIMD engines (SSE2 8-lane and 4-lane, plus portable generic lanes) and the
-// engine table, the one place that knows which engines exist.
+// The SSE2-baseline and portable SIMD engines, and the engine table, the
+// one place that knows which engines exist.
 //
 // The 4-lane engine models the paper's Pentium III SSE configuration (4 x
 // i16), the 8-lane engine its Pentium 4 SSE2 configuration (8 x i16); the
-// AVX2 16-lane engine (separate TU) is the natural successor. Generic-lane
-// engines run the identical kernel without intrinsics, both as a portable
-// fallback and as a cross-check in tests. Every engine, whatever its TU, is
-// one row of kTable below: name, ISA, precision, lanes and constructor.
+// AVX2 16-lane engine (separate TU) is the natural successor. Every row's
+// lane ops are one VecOps<Elem, Lanes, Isa> (vec_ops.hpp); this TU
+// instantiates the Isa::kSse2 and Isa::kPortable ones. Portable rows run
+// the identical kernel on compiler vector types without intrinsics: they
+// are every non-x86 build's engines, and a cross-check of the intrinsic
+// rows in tests. Every engine, whatever its TU, is one row of kTable below:
+// name, ISA, precision, lanes and constructor.
 #include "align/engine.hpp"
 
 #include <limits>
@@ -16,82 +19,17 @@
 #include "align/engine_detail.hpp"
 #include "align/simd_engine_impl.hpp"
 #include "align/simd_kernel.hpp"
+#include "align/vec_ops.hpp"
 #include "obs/metrics.hpp"
-
-#if REPRO_HAVE_SSE2
-#include <emmintrin.h>
-#endif
 
 namespace repro::align {
 namespace detail {
 namespace {
 
-#if REPRO_HAVE_SSE2
-
-struct SseOps8 {
-  static constexpr int kLanes = 8;
-  using Elem = std::int16_t;
-  static constexpr bool kSaturating = true;
-  using Vec = __m128i;
-  static Vec zero() { return _mm_setzero_si128(); }
-  static Vec set1(std::int16_t x) { return _mm_set1_epi16(x); }
-  static Vec load(const std::int16_t* p) {
-    return _mm_load_si128(reinterpret_cast<const __m128i*>(p));
-  }
-  static void store(std::int16_t* p, Vec a) {
-    _mm_store_si128(reinterpret_cast<__m128i*>(p), a);
-  }
-  static Vec max(Vec a, Vec b) { return _mm_max_epi16(a, b); }
-  static Vec adds(Vec a, Vec b) { return _mm_adds_epi16(a, b); }
-  static Vec subs(Vec a, Vec b) { return _mm_subs_epi16(a, b); }
-  static Vec and_(Vec a, Vec b) { return _mm_and_si128(a, b); }
-};
-
-/// Four i16 lanes in the low half of an XMM register — the paper's SSE
-/// (Pentium III) width. Loads zero the upper half; stores write 8 bytes.
-struct SseOps4 {
-  static constexpr int kLanes = 4;
-  using Elem = std::int16_t;
-  static constexpr bool kSaturating = true;
-  using Vec = __m128i;
-  static Vec zero() { return _mm_setzero_si128(); }
-  static Vec set1(std::int16_t x) { return _mm_set1_epi16(x); }
-  static Vec load(const std::int16_t* p) {
-    return _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
-  }
-  static void store(std::int16_t* p, Vec a) {
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(p), a);
-  }
-  static Vec max(Vec a, Vec b) { return _mm_max_epi16(a, b); }
-  static Vec adds(Vec a, Vec b) { return _mm_adds_epi16(a, b); }
-  static Vec subs(Vec a, Vec b) { return _mm_subs_epi16(a, b); }
-  static Vec and_(Vec a, Vec b) { return _mm_and_si128(a, b); }
-};
-
-/// Sixteen unsigned u8 lanes in one XMM register (biased saturating
-/// arithmetic; see simd_kernel.hpp for the bias/losslessness discussion).
-struct SseOps16x8 {
-  static constexpr int kLanes = 16;
-  using Elem = std::uint8_t;
-  static constexpr bool kSaturating = true;
-  using Vec = __m128i;
-  static Vec zero() { return _mm_setzero_si128(); }
-  static Vec set1(std::uint8_t x) {
-    return _mm_set1_epi8(static_cast<char>(x));
-  }
-  static Vec load(const std::uint8_t* p) {
-    return _mm_load_si128(reinterpret_cast<const __m128i*>(p));
-  }
-  static void store(std::uint8_t* p, Vec a) {
-    _mm_store_si128(reinterpret_cast<__m128i*>(p), a);
-  }
-  static Vec max(Vec a, Vec b) { return _mm_max_epu8(a, b); }
-  static Vec adds(Vec a, Vec b) { return _mm_adds_epu8(a, b); }
-  static Vec subs(Vec a, Vec b) { return _mm_subs_epu8(a, b); }
-  static Vec and_(Vec a, Vec b) { return _mm_and_si128(a, b); }
-};
-
-#endif  // REPRO_HAVE_SSE2
+template <typename T, int Lanes>
+using Portable = VecOps<T, Lanes, Isa::kPortable>;
+template <typename T, int Lanes>
+using Sse2 = VecOps<T, Lanes, Isa::kSse2>;
 
 template <class E>
 std::unique_ptr<Engine> make(const char* name, int stripe_cols) {
@@ -110,7 +48,7 @@ constexpr EngineSpec kTable[] = {
     {EngineKind::kSimd4x32Generic, "simd4x32-generic", Isa::kPortable,
      Precision::kI32, 4,
      [](int s) {
-       return make<SimdEngineT<GenericOps32<4>>>("simd4x32-generic", s);
+       return make<SimdEngineT<Portable<Score, 4>>>("simd4x32-generic", s);
      }},
 #if REPRO_HAVE_SSE2
     {EngineKind::kSimd4x32, "simd4x32", Isa::kSse41, Precision::kI32, 4,
@@ -123,18 +61,22 @@ constexpr EngineSpec kTable[] = {
     {EngineKind::kSimd4Generic, "simd4-generic", Isa::kPortable,
      Precision::kI16, 4,
      [](int s) {
-       return make<SimdEngineT<GenericOps<4>>>("simd4-generic", s);
+       return make<SimdEngineT<Portable<std::int16_t, 4>>>("simd4-generic", s);
      }},
     {EngineKind::kSimd8Generic, "simd8-generic", Isa::kPortable,
      Precision::kI16, 8,
      [](int s) {
-       return make<SimdEngineT<GenericOps<8>>>("simd8-generic", s);
+       return make<SimdEngineT<Portable<std::int16_t, 8>>>("simd8-generic", s);
      }},
 #if REPRO_HAVE_SSE2
     {EngineKind::kSimd4, "simd4", Isa::kSse2, Precision::kI16, 4,
-     [](int s) { return make<SimdEngineT<SseOps4>>("simd4-sse2", s); }},
+     [](int s) {
+       return make<SimdEngineT<Sse2<std::int16_t, 4>>>("simd4-sse2", s);
+     }},
     {EngineKind::kSimd8, "simd8", Isa::kSse2, Precision::kI16, 8,
-     [](int s) { return make<SimdEngineT<SseOps8>>("simd8-sse2", s); }},
+     [](int s) {
+       return make<SimdEngineT<Sse2<std::int16_t, 8>>>("simd8-sse2", s);
+     }},
 #endif
 #if REPRO_ENABLE_AVX2
     {EngineKind::kSimd16, "simd16", Isa::kAvx2, Precision::kI16, 16,
@@ -143,11 +85,14 @@ constexpr EngineSpec kTable[] = {
     {EngineKind::kSimd8x8Generic, "simd8x8-generic", Isa::kPortable,
      Precision::kI8, 8,
      [](int s) {
-       return make<SimdEngineT<GenericOps8<8>>>("simd8x8-generic", s);
+       return make<SimdEngineT<Portable<std::uint8_t, 8>>>("simd8x8-generic",
+                                                           s);
      }},
 #if REPRO_HAVE_SSE2
     {EngineKind::kSimd16x8, "simd16x8", Isa::kSse2, Precision::kI8, 16,
-     [](int s) { return make<SimdEngineT<SseOps16x8>>("simd16x8-sse2", s); }},
+     [](int s) {
+       return make<SimdEngineT<Sse2<std::uint8_t, 16>>>("simd16x8-sse2", s);
+     }},
 #endif
 #if REPRO_ENABLE_AVX2
     {EngineKind::kSimd32x8, "simd32x8", Isa::kAvx2, Precision::kI8, 32,
@@ -156,15 +101,16 @@ constexpr EngineSpec kTable[] = {
     {EngineKind::kSimdAutoGeneric, "auto-generic", Isa::kPortable,
      Precision::kAdaptive, 8,
      [](int s) {
-       return make<AdaptiveEngineT<GenericOps8<8>, GenericOps<8>>>(
-           "auto-generic", s);
+       return make<AdaptiveEngineT<Portable<std::uint8_t, 8>,
+                                   Portable<std::int16_t, 8>>>("auto-generic",
+                                                               s);
      }},
 #if REPRO_HAVE_SSE2
     {EngineKind::kSimdAutoSse2, "auto-sse2", Isa::kSse2, Precision::kAdaptive,
      16,
      [](int s) {
-       return make<AdaptiveEngineT<SseOps16x8, DoublePumpOps<SseOps8>>>(
-           "auto-sse2", s);
+       return make<AdaptiveEngineT<Sse2<std::uint8_t, 16>,
+                                   Sse2<std::int16_t, 16>>>("auto-sse2", s);
      }},
 #endif
 #if REPRO_ENABLE_AVX2

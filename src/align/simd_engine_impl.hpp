@@ -1,7 +1,8 @@
 // Shared SIMD engine implementations. Not part of the API.
 //
 // Every SIMD translation unit (SSE2, SSE4.1, AVX2, AVX-512BW, generic)
-// instantiates the same two class templates over its Ops policies:
+// instantiates the same two class templates over its VecOps rows
+// (vec_ops.hpp):
 //
 //   * SimdEngineT<Ops> — fixed-precision engine: one scratch, one cached
 //     query profile, one kernel instantiation. Saturation throws (the
@@ -9,10 +10,10 @@
 //     instead).
 //   * AdaptiveEngineT<Ops8, Ops16> — the adaptive driver: runs each group in
 //     u8 lanes, and when the sweep's saturation guard fires re-runs exactly
-//     that group in i16 lanes *at the same lane count* (DoublePumpOps splits
-//     each u8 vector across two i16 registers; on AVX-512BW one ZMM register
-//     holds all 32 i16 lanes), so group geometry, outputs, and checkpoint
-//     layouts stay native in both precisions. Escalation is
+//     that group in i16 lanes *at the same lane count* (the i16 vector is
+//     twice as wide, so VecOps splits it over two registers; on AVX-512BW
+//     one ZMM register holds all 32 i16 lanes), so group geometry, outputs,
+//     and checkpoint layouts stay native in both precisions. Escalation is
 //     sticky per split: override growth only ever zeroes cells, so DP values
 //     are monotonically nonincreasing across realignment rounds — a group
 //     that saturated once is swept at i16 from then on (and, conversely, a
@@ -125,43 +126,6 @@ class SimdEngineT final : public Engine {
   PrecisionStats stats_;
 };
 
-/// Runs Base's i16 ops pairwise over two registers, presenting twice the
-/// lanes: element p of the pumped vector lives in register p / Base::kLanes.
-/// This gives the adaptive driver an i16 kernel with the *same* lane count
-/// and interleaved layout as its u8 kernel, so escalation changes only the
-/// element width — never the group geometry or checkpoint shape.
-template <class Base>
-struct DoublePumpOps {
-  static constexpr int kLanes = 2 * Base::kLanes;
-  using Elem = typename Base::Elem;
-  static constexpr bool kSaturating = Base::kSaturating;
-  struct Vec {
-    typename Base::Vec lo, hi;
-  };
-
-  static Vec zero() { return {Base::zero(), Base::zero()}; }
-  static Vec set1(Elem x) { return {Base::set1(x), Base::set1(x)}; }
-  static Vec load(const Elem* p) {
-    return {Base::load(p), Base::load(p + Base::kLanes)};
-  }
-  static void store(Elem* p, Vec a) {
-    Base::store(p, a.lo);
-    Base::store(p + Base::kLanes, a.hi);
-  }
-  static Vec max(Vec a, Vec b) {
-    return {Base::max(a.lo, b.lo), Base::max(a.hi, b.hi)};
-  }
-  static Vec adds(Vec a, Vec b) {
-    return {Base::adds(a.lo, b.lo), Base::adds(a.hi, b.hi)};
-  }
-  static Vec subs(Vec a, Vec b) {
-    return {Base::subs(a.lo, b.lo), Base::subs(a.hi, b.hi)};
-  }
-  static Vec and_(Vec a, Vec b) {
-    return {Base::and_(a.lo, b.lo), Base::and_(a.hi, b.hi)};
-  }
-};
-
 template <class Ops8, class Ops16>
 class AdaptiveEngineT final : public Engine {
   static_assert(Ops8::kLanes == Ops16::kLanes,
@@ -219,8 +183,15 @@ class AdaptiveEngineT final : public Engine {
     GroupJob j16 = job;
     if (j16.resume != nullptr && j16.resume->elem_size != 2)
       j16.resume = nullptr;
-    run_simd_group<Ops16>(j16, out, stripe16_, scratch16_, profile16_);
+    bool sat = false;
+    run_simd_group<Ops16>(j16, out, stripe16_, scratch16_, profile16_, &sat);
     note_sweep<std::int16_t>(stats_);
+    REPRO_CHECK_MSG(!sat, "i16 SIMD lanes saturated after u8 -> i16 "
+                          "escalation (group r0="
+                              << job.r0 << "): scores pass 32767, which "
+                                 "only i32 lanes without the i16 bottom-row "
+                                 "archive hold; rerun with --precision i32 "
+                                 "--low-memory");
   }
 
  private:

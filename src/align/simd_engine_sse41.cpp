@@ -2,41 +2,17 @@
 // SIMD kernel, free of the i16 saturation limit (the paper notes the
 // byte-width limit of earlier SIMD aligners "is too restrictive"; i16 moves
 // the ceiling to 32767 and this engine removes it entirely).
-// Compiled with -msse4.1 (for _mm_max_epi32) behind a runtime CPU check.
-#include <smmintrin.h>
-
+// Compiled with -msse4.1 (its i32 max is pmaxsd) behind a runtime CPU check.
 #include "align/engine.hpp"
 #include "align/engine_detail.hpp"
 #include "align/simd_engine_impl.hpp"
-#include "align/simd_kernel.hpp"
+#include "align/vec_ops.hpp"
 
 namespace repro::align::detail {
-namespace {
-
-struct Sse41Ops4x32 {
-  static constexpr int kLanes = 4;
-  using Elem = Score;
-  static constexpr bool kSaturating = false;
-  using Vec = __m128i;
-  static Vec zero() { return _mm_setzero_si128(); }
-  static Vec set1(Score x) { return _mm_set1_epi32(x); }
-  static Vec load(const Score* p) {
-    return _mm_load_si128(reinterpret_cast<const __m128i*>(p));
-  }
-  static void store(Score* p, Vec a) {
-    _mm_store_si128(reinterpret_cast<__m128i*>(p), a);
-  }
-  static Vec max(Vec a, Vec b) { return _mm_max_epi32(a, b); }
-  static Vec adds(Vec a, Vec b) { return _mm_add_epi32(a, b); }
-  static Vec subs(Vec a, Vec b) { return _mm_sub_epi32(a, b); }
-  static Vec and_(Vec a, Vec b) { return _mm_and_si128(a, b); }
-};
-
-}  // namespace
 
 std::unique_ptr<Engine> make_simd_sse41_engine(int stripe_cols) {
-  return std::make_unique<SimdEngineT<Sse41Ops4x32>>("simd4x32-sse41",
-                                                     stripe_cols);
+  return std::make_unique<SimdEngineT<VecOps<Score, 4, Isa::kSse41>>>(
+      "simd4x32-sse41", stripe_cols);
 }
 
 }  // namespace repro::align::detail

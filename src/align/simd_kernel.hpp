@@ -49,8 +49,10 @@
 //     recurrence also produces, and H trajectories are identical as long as
 //     no adds saturates, which the peak certification guarantees.
 //
-// The kernel is templated over an Ops policy (SSE2, AVX2, or a portable
-// scalar-lane fallback) providing saturating adds/subs, max, and masking.
+// The kernel is templated over its Ops policy, VecOps<Elem, Lanes, Isa>
+// (vec_ops.hpp): one lane-ops template over compiler vector types whose
+// instantiations in each per-ISA translation unit supply the saturating
+// adds/subs, max and masking.
 #pragma once
 
 #include <algorithm>
@@ -65,177 +67,11 @@
 #include "align/override_triangle.hpp"
 #include "align/query_profile.hpp"
 #include "align/types.hpp"
+#include "align/vec_ops.hpp"
 #include "check/contracts.hpp"
 #include "util/aligned.hpp"
 
 namespace repro::align::detail {
-
-/// Portable lane ops; the compiler is free to auto-vectorize these loops
-/// (the paper's remark that vectorizing compilers can handle data-independent
-/// lanes). Also used to cross-check the intrinsic engines in tests.
-template <int W>
-struct GenericOps {
-  static constexpr int kLanes = W;
-  using Elem = std::int16_t;
-  static constexpr bool kSaturating = true;
-  struct Vec {
-    std::int16_t v[W];
-  };
-
-  static Vec zero() {
-    Vec r{};
-    return r;
-  }
-  static Vec set1(std::int16_t x) {
-    Vec r;
-    for (int k = 0; k < W; ++k) r.v[k] = x;
-    return r;
-  }
-  static Vec load(const std::int16_t* p) {
-    Vec r;
-    for (int k = 0; k < W; ++k) r.v[k] = p[k];
-    return r;
-  }
-  static void store(std::int16_t* p, Vec a) {
-    for (int k = 0; k < W; ++k) p[k] = a.v[k];
-  }
-  static Vec max(Vec a, Vec b) {
-    Vec r;
-    for (int k = 0; k < W; ++k) r.v[k] = a.v[k] > b.v[k] ? a.v[k] : b.v[k];
-    return r;
-  }
-  static Vec adds(Vec a, Vec b) {
-    Vec r;
-    for (int k = 0; k < W; ++k) {
-      const int s = int{a.v[k]} + int{b.v[k]};
-      r.v[k] = static_cast<std::int16_t>(std::clamp(s, -32768, 32767));
-    }
-    return r;
-  }
-  static Vec subs(Vec a, Vec b) {
-    Vec r;
-    for (int k = 0; k < W; ++k) {
-      const int s = int{a.v[k]} - int{b.v[k]};
-      r.v[k] = static_cast<std::int16_t>(std::clamp(s, -32768, 32767));
-    }
-    return r;
-  }
-  static Vec and_(Vec a, Vec b) {
-    Vec r;
-    for (int k = 0; k < W; ++k)
-      r.v[k] = static_cast<std::int16_t>(a.v[k] & b.v[k]);
-    return r;
-  }
-};
-
-/// Portable 32-bit lane ops: plain (non-saturating) arithmetic; scores are
-/// bounded well inside i32 so wrapping cannot occur (the max local-alignment
-/// score is max_exchange x min(rows, cols) < 2^24 at any realistic scale).
-template <int W>
-struct GenericOps32 {
-  static constexpr int kLanes = W;
-  using Elem = align::Score;
-  static constexpr bool kSaturating = false;
-  struct Vec {
-    align::Score v[W];
-  };
-
-  static Vec zero() {
-    Vec r{};
-    return r;
-  }
-  static Vec set1(align::Score x) {
-    Vec r;
-    for (int k = 0; k < W; ++k) r.v[k] = x;
-    return r;
-  }
-  static Vec load(const align::Score* p) {
-    Vec r;
-    for (int k = 0; k < W; ++k) r.v[k] = p[k];
-    return r;
-  }
-  static void store(align::Score* p, Vec a) {
-    for (int k = 0; k < W; ++k) p[k] = a.v[k];
-  }
-  static Vec max(Vec a, Vec b) {
-    Vec r;
-    for (int k = 0; k < W; ++k) r.v[k] = a.v[k] > b.v[k] ? a.v[k] : b.v[k];
-    return r;
-  }
-  static Vec adds(Vec a, Vec b) {
-    Vec r;
-    for (int k = 0; k < W; ++k) r.v[k] = a.v[k] + b.v[k];
-    return r;
-  }
-  static Vec subs(Vec a, Vec b) {
-    Vec r;
-    for (int k = 0; k < W; ++k) r.v[k] = a.v[k] - b.v[k];
-    return r;
-  }
-  static Vec and_(Vec a, Vec b) {
-    Vec r;
-    for (int k = 0; k < W; ++k) r.v[k] = a.v[k] & b.v[k];
-    return r;
-  }
-};
-
-/// Portable unsigned u8 lane ops: saturating-unsigned arithmetic over biased
-/// profile entries (see the header comment). Twice the lanes of GenericOps
-/// in the same register width; adds clamps at 255, subs clamps at 0.
-template <int W>
-struct GenericOps8 {
-  static constexpr int kLanes = W;
-  using Elem = std::uint8_t;
-  static constexpr bool kSaturating = true;
-  struct Vec {
-    std::uint8_t v[W];
-  };
-
-  static Vec zero() {
-    Vec r{};
-    return r;
-  }
-  static Vec set1(std::uint8_t x) {
-    Vec r;
-    for (int k = 0; k < W; ++k) r.v[k] = x;
-    return r;
-  }
-  static Vec load(const std::uint8_t* p) {
-    Vec r;
-    for (int k = 0; k < W; ++k) r.v[k] = p[k];
-    return r;
-  }
-  static void store(std::uint8_t* p, Vec a) {
-    for (int k = 0; k < W; ++k) p[k] = a.v[k];
-  }
-  static Vec max(Vec a, Vec b) {
-    Vec r;
-    for (int k = 0; k < W; ++k) r.v[k] = a.v[k] > b.v[k] ? a.v[k] : b.v[k];
-    return r;
-  }
-  static Vec adds(Vec a, Vec b) {
-    Vec r;
-    for (int k = 0; k < W; ++k) {
-      const int s = int{a.v[k]} + int{b.v[k]};
-      r.v[k] = static_cast<std::uint8_t>(s > 255 ? 255 : s);
-    }
-    return r;
-  }
-  static Vec subs(Vec a, Vec b) {
-    Vec r;
-    for (int k = 0; k < W; ++k) {
-      const int s = int{a.v[k]} - int{b.v[k]};
-      r.v[k] = static_cast<std::uint8_t>(s < 0 ? 0 : s);
-    }
-    return r;
-  }
-  static Vec and_(Vec a, Vec b) {
-    Vec r;
-    for (int k = 0; k < W; ++k)
-      r.v[k] = static_cast<std::uint8_t>(a.v[k] & b.v[k]);
-    return r;
-  }
-};
 
 /// Scratch buffers reused across group alignments (one instance per engine
 /// and precision; engines are single-threaded by contract).
@@ -280,12 +116,6 @@ constexpr Elem neg_inf_of() {
     return kNegInf;
   }
 }
-
-#if defined(__GNUC__)
-#define REPRO_FORCE_INLINE inline __attribute__((always_inline))
-#else
-#define REPRO_FORCE_INLINE inline
-#endif
 
 /// What one DP row's column loop reads besides its carried vectors.
 template <class Ops>
@@ -670,8 +500,7 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
   const int k = first_saturated_lane();
   REPRO_CHECK_MSG(k < 0, (kUnsigned ? "u8" : "i16")
                              << " SIMD lane saturated (split r=" << r0 + k
-                             << "); use an adaptive or wider engine for this "
-                                "input");
+                             << "); use auto or an i32 engine for this input");
 }
 
 }  // namespace repro::align::detail

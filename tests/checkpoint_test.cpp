@@ -347,7 +347,7 @@ TEST(CheckpointKernel, WideVectorResumesAcrossStripes) {
   // scratch slot. With 32 i32 lanes one vector is 128 bytes, twice a cache
   // line: slots sized by the cache line alone would overlap, and every
   // stripe past the first would resume from its neighbour's diagonal.
-  using Ops = align::detail::GenericOps32<32>;
+  using Ops = align::detail::VecOps<Score, 32, align::Isa::kPortable>;
   const auto g = seq::synthetic_titin(160, 7);
   const seq::Scoring scoring = seq::Scoring::protein_default();
   align::PrecisionStats stats;

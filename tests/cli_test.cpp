@@ -258,14 +258,16 @@ TEST(Cli, BadEngineNameFails) {
 
 TEST(Cli, I16EngineRejectsOverflowingSequenceUpfront) {
   // titin at m=6000 with blosum62 (max score 11) can reach 3000*11 = 33000,
-  // past the i16 ceiling — an explicitly selected i16 engine must be
-  // rejected before any alignment runs, with the adaptive and wider
-  // alternatives named.
+  // past the i16 ceiling — an explicitly selected i16 engine (the widest
+  // this build has) must be rejected before any alignment runs, with the
+  // adaptive and wider alternatives named.
   const std::string fasta = temp_fasta();
   ASSERT_EQ(run_cli("generate --kind titin --length 6000 --out " + fasta)
                 .status, 0);
+  const std::string i16 = repro::align::best_engine(
+                              repro::align::Precision::kI16).name;
   const RunResult r =
-      run_cli("find --fasta " + fasta + " --tops 1 --engine simd8");
+      run_cli("find --fasta " + fasta + " --tops 1 --engine " + i16);
   EXPECT_NE(r.status, 0);
   EXPECT_NE(r.out.find("saturation headroom"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("adaptive"), std::string::npos) << r.out;
@@ -288,8 +290,10 @@ TEST(Cli, U8EngineRejectsOverflowingSequenceUpfront) {
   const std::string fasta = temp_fasta();
   ASSERT_EQ(run_cli("generate --kind titin --length 300 --out " + fasta)
                 .status, 0);
+  const std::string u8 = repro::align::best_engine(
+                             repro::align::Precision::kI8).name;
   const RunResult r =
-      run_cli("find --fasta " + fasta + " --tops 1 --engine simd16x8");
+      run_cli("find --fasta " + fasta + " --tops 1 --engine " + u8);
   EXPECT_NE(r.status, 0);
   EXPECT_NE(r.out.find("u8"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("saturation headroom"), std::string::npos) << r.out;

@@ -316,12 +316,52 @@ INSTANTIATE_TEST_SUITE_P(PerIsa, AdaptivePrecision,
                          testing::adaptive_row_param_name);
 
 // ---------------------------------------------------------------------------
+// Past the i16 ceiling: every saturation error names a remedy that works
+
+TEST(PrecisionCeiling, SaturationErrorsNameTheI32LowMemoryRemedy) {
+  // All-A DNA under match +40: split r scores 40 * min(r, m - r), past
+  // 32767 for the splits around m/2 once m >= 1640. The adaptive default's
+  // i16 rung saturates there, and an i32 engine computes the scores but
+  // cannot archive them in the i16 bottom-row store. Both errors must name
+  // the pairing that works, which must then find valid tops.
+  const seq::Sequence s = homopolymer(1700);
+  const seq::Scoring dna{seq::ScoreMatrix::dna(40, -1), seq::GapPenalty{2, 1}};
+  FinderOptions opt;
+  opt.num_top_alignments = 2;
+  const auto expect_remedy = [&](align::Engine& engine, const char* what) {
+    try {
+      find_top_alignments(s, dna, opt, engine);
+      ADD_FAILURE() << engine.name() << " did not throw";
+    } catch (const std::logic_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(what), std::string::npos) << msg;
+      EXPECT_NE(msg.find("--precision i32 --low-memory"), std::string::npos)
+          << msg;
+    }
+  };
+  const auto adaptive = align::make_best_engine();
+  expect_remedy(*adaptive, "escalation");
+  const auto i32 = align::make_engine(align::best_engine(Precision::kI32).kind);
+  expect_remedy(*i32, "bottom-row archive");
+
+  opt.memory = core::MemoryMode::kRecomputeRows;
+  const auto remedy =
+      align::make_engine(align::best_engine(Precision::kI32).kind);
+  const auto res = find_top_alignments(s, dna, opt, *remedy);
+  ASSERT_EQ(res.tops.size(), 2u);
+  EXPECT_GT(res.tops.front().score, 32767);
+  core::validate_tops(res.tops, s, dna);
+}
+
+// ---------------------------------------------------------------------------
 // Early exit of saturating u8 sweeps (kernel protocol, portable lanes)
 
 class SaturatingSweep : public ::testing::Test {
  protected:
-  using Ops8 = align::detail::GenericOps8<8>;
-  using Ops16 = align::detail::GenericOps<8>;
+  using Ops8 =
+      align::detail::VecOps<std::uint8_t, 8, align::Isa::kPortable>;
+  using Ops16 =
+      align::detail::VecOps<std::int16_t, 8, align::Isa::kPortable>;
   static constexpr int kLanes = 8;
   static constexpr int kStripe = 10;
   static constexpr align::Score kUnwritten = -7;

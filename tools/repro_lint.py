@@ -23,6 +23,13 @@ one-engine-table      C++ files outside src/align/ may not use
                       EngineSpec::available()). perfbench/ is exempt: the
                       benchmark is frozen, and the two functions stay for
                       it.
+one-lane-ops          the saturating/max intrinsics (_mm*_adds_*,
+                      _mm*_subs_*, _mm*_max_*) and lane-policy structs
+                      (a struct or class named *Ops, or one defining static
+                      adds/subs) appear only in src/align/vec_ops.hpp: every
+                      SIMD engine's lane ops are one VecOps<Elem, Lanes, Isa>
+                      instantiation, not another hand-written Ops struct.
+                      perfbench/ is exempt: the benchmark is frozen.
 no-raw-new-delete     no raw new / delete expressions in src/ (containers,
                       unique_ptr and the aligned allocator cover every need);
                       `= delete` declarations are fine.
@@ -71,7 +78,7 @@ KERNEL_FILES = [
     "src/align/simd_engine_sse41.cpp",
     "src/align/simd_engine_avx2.cpp",
     "src/align/simd_engine_avx512.cpp",
-    "src/align/simd_ops_avx2.hpp",
+    "src/align/vec_ops.hpp",
     "src/align/simd_engine_impl.hpp",
     "src/align/query_profile.hpp",
     "src/align/engine_detail.hpp",
@@ -291,6 +298,29 @@ def check_one_engine_table() -> None:
                      "align::engine_table() and ask EngineSpec::available()")
 
 
+LANE_OPS_HOME = ("src", "align", "vec_ops.hpp")
+LANE_OPS_TOKENS = re.compile(
+    r"\b_mm\d*_(?:adds|subs|max)_\w+|"
+    r"\b(?:struct|class)\s+\w*Ops(?:\d+(?:x\d+)?)?\s*(?:final\s*)?[{:]|"
+    r"\bstatic\b[^;{()]*\b(?:adds|subs)\s*\(")
+
+
+def check_one_lane_ops() -> None:
+    for path in glob_files(ENGINE_TABLE_GLOBS):
+        parts = path.relative_to(ROOT).parts
+        if parts[0] == "perfbench" or parts == LANE_OPS_HOME:
+            continue
+        raw = path.read_text().splitlines()
+        code = strip_comments_and_strings(path.read_text()).splitlines()
+        for no, (raw_line, code_line) in enumerate(zip(raw, code), start=1):
+            m = LANE_OPS_TOKENS.search(code_line)
+            if m and not allowed(raw_line, "one-lane-ops"):
+                fail(path, no, "one-lane-ops",
+                     f"'{m.group(0).strip()}' outside src/align/vec_ops.hpp: "
+                     "instantiate VecOps<Elem, Lanes, Isa> instead of "
+                     "hand-writing lane ops")
+
+
 def check_raw_new_delete() -> None:
     new_expr = re.compile(r"\bnew\b(?!\s*\()")  # `new (place)` also caught below
     delete_expr = re.compile(r"\bdelete\b")
@@ -397,6 +427,7 @@ def main() -> int:
     check_kernel_locks()
     check_engine_coverage()
     check_one_engine_table()
+    check_one_lane_ops()
     check_raw_new_delete()
     check_metrics_naming()
     check_one_search_core()
