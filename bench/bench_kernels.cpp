@@ -230,23 +230,34 @@ void BM_QueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_QueuePushPop);
 
-void BM_Traceback(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  const auto& s = titin(m);
-  align::GroupJob job;
-  job.seq = s.codes();
-  job.scoring = &scoring();
-  job.r0 = m / 2;
-  job.count = 1;
-  for (auto _ : state) {
-    const auto tb = align::traceback_best(job);
-    benchmark::DoNotOptimize(tb.score);
+// One traceback bench per matrix fill this host runs, BM_Traceback_<isa>/<m>
+// (rectangle m/2 of titin, no overrides): the fill's cell rate, like the
+// kernel rows'. traceback_best itself uses the fill of the default engine's
+// ISA.
+void register_traceback_benches() {
+  for (const align::TracebackFill& fill : align::traceback_fills()) {
+    if (!fill.available()) continue;
+    benchmark::RegisterBenchmark(
+        ("BM_Traceback_" + std::string(align::isa_name(fill.isa))).c_str(),
+        [&fill](benchmark::State& state) {
+          const int m = static_cast<int>(state.range(0));
+          align::GroupJob job;
+          job.seq = titin(m).codes();
+          job.scoring = &scoring();
+          job.r0 = m / 2;
+          job.count = 1;
+          for (auto _ : state) {
+            const auto tb = align::traceback_best(job, fill);
+            benchmark::DoNotOptimize(tb.score);
+          }
+          state.counters["cells/s"] = benchmark::Counter(
+              static_cast<double>(state.iterations()) * (m / 2) * (m - m / 2),
+              benchmark::Counter::kIsRate);
+        })
+        ->Arg(1000)
+        ->Arg(2000);
   }
-  state.counters["cells/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * (m / 2) * (m - m / 2),
-      benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Traceback)->Arg(1000)->Arg(2000);
 
 // ---------------------------------------------------------------------------
 // Adaptive-precision ablation (--json path): u8 vs i16 kernel rates per ISA,
@@ -302,10 +313,13 @@ int run_precision_ablation(int argc, char** argv) {
   // Per ISA, its widest u8 engine against its widest i16 engine.
   using Widest = std::pair<const align::EngineSpec*, const align::EngineSpec*>;
   std::map<align::Isa, Widest> pairs;  // isa -> (u8, i16)
+  std::uint64_t simd_rows = 0;  // compiled-in SIMD u8/i16 rows, any CPU
   for (const align::EngineSpec& spec : align::engine_table()) {
-    if (!spec.available() || (spec.precision != align::Precision::kI8 &&
-                              spec.precision != align::Precision::kI16))
+    if (spec.precision != align::Precision::kI8 &&
+        spec.precision != align::Precision::kI16)
       continue;
+    if (spec.isa != align::Isa::kPortable) ++simd_rows;
+    if (!spec.available()) continue;
     const align::EngineSpec*& slot = spec.precision == align::Precision::kI8
                                          ? pairs[spec.isa].first
                                          : pairs[spec.isa].second;
@@ -314,6 +328,7 @@ int run_precision_ablation(int argc, char** argv) {
   util::Table rate_table({"isa", "u8 cells/s", "i16 cells/s", "speedup"});
   rate_table.set_precision(2);
   double best_speedup = 0.0;
+  std::uint64_t simd_pairs = 0;
   for (const auto& [isa_id, widest] : pairs) {
     const auto [u8, i16] = widest;
     if (u8 == nullptr || i16 == nullptr) continue;
@@ -327,10 +342,16 @@ int run_precision_ablation(int argc, char** argv) {
     report.metric("i8_vs_i16_speedup_" + isa, speedup);
     // The SIMD pairs double the lane count, so their speedup is the claim;
     // the generic pair keeps 8 lanes either way and is reported for context.
-    if (isa_id != align::Isa::kPortable)
+    if (isa_id != align::Isa::kPortable) {
       best_speedup = std::max(best_speedup, speedup);
+      ++simd_pairs;
+    }
   }
   rate_table.print(std::cout);
+  // A build without SIMD rows (the portable configuration) measures no
+  // SIMD pair, so its best speedup is 0 by construction, not a regression.
+  report.counter("simd_rate_rows", simd_rows);
+  report.counter("simd_rate_pairs", simd_pairs);
   report.metric("i8_vs_i16_speedup_best", best_speedup);
 
   // --- Same-tops matrix: every constructible engine/precision combo versus
@@ -411,6 +432,7 @@ int main(int argc, char** argv) {
       return run_precision_ablation(argc, argv);
   }
   register_engine_benches();
+  register_traceback_benches();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -10,7 +10,10 @@
 //     3-column stripes (many stripe boundaries even on tiny rectangles),
 //   * resuming the scalar engine from any checkpoint row it emitted
 //     reproduces the fresh bottom row exactly (§3 checkpoint-resume
-//     bit-identity).
+//     bit-identity),
+//   * the portable traceback fill's bottom row is the scalar engine's, and
+//     every other traceback fill this host runs gives every matrix cell,
+//     and the traceback (score, end cell and pairs), of the portable fill.
 //
 // Byte 1 >= 0x80 selects match +40 instead of the paper's +2: a u8 lane
 // then passes its ceiling (255 - 1 - 40) after six matches, so escalation
@@ -30,6 +33,7 @@
 
 #include "align/engine.hpp"
 #include "align/override_triangle.hpp"
+#include "align/traceback.hpp"
 #include "align/types.hpp"
 #include "seq/scoring.hpp"
 
@@ -39,6 +43,9 @@ using repro::align::CheckpointSink;
 using repro::align::CheckpointView;
 using repro::align::GroupJob;
 using repro::align::Score;
+using repro::align::Traceback;
+using repro::align::TracebackFill;
+using repro::align::TracebackMatrix;
 
 [[noreturn]] void finding(const std::string& what) {
   throw std::runtime_error("kernel diff: " + what);
@@ -53,6 +60,40 @@ void compare_rows(const std::vector<Score>& ref, const std::vector<Score>& got,
       finding(label + ": H[" + std::to_string(x) + "] differs at r=" +
               std::to_string(r) + " (" + std::to_string(ref[x]) + " vs " +
               std::to_string(got[x]) + ")");
+}
+
+/// Traces split job.r0 back with every available fill and compares each
+/// with the portable fill; `ref` is the scalar engine's bottom row.
+void compare_tracebacks(const GroupJob& job, const std::vector<Score>& ref) {
+  const int r = job.r0;
+  const TracebackFill* portable = nullptr;
+  for (const TracebackFill& fill : repro::align::traceback_fills())
+    if (fill.isa == repro::align::Isa::kPortable) portable = &fill;
+  const TracebackMatrix base = portable->fill(job);
+  const int cols = base.cols();
+  std::vector<Score> bottom(static_cast<std::size_t>(cols));
+  for (int x = 1; x <= cols; ++x)
+    bottom[static_cast<std::size_t>(x - 1)] = base.at(r, x);
+  compare_rows(ref, bottom, "traceback fill generic", r);
+  const bool traced = repro::align::find_best_end(ref).score > 0;
+  const Traceback want =
+      traced ? repro::align::traceback_best(job, *portable) : Traceback{};
+  for (const TracebackFill& fill : repro::align::traceback_fills()) {
+    if (&fill == portable || !fill.available()) continue;
+    const std::string label =
+        std::string("traceback fill ") + repro::align::isa_name(fill.isa);
+    const TracebackMatrix mat = fill.fill(job);
+    for (int y = 0; y <= r; ++y)
+      for (int x = 0; x <= cols; ++x)
+        if (mat.at(y, x) != base.at(y, x))
+          finding(label + ": H(" + std::to_string(y) + "," +
+                  std::to_string(x) + ") differs at r=" + std::to_string(r));
+    if (!traced) continue;
+    const Traceback got = repro::align::traceback_best(job, fill);
+    if (got.score != want.score || got.end_x != want.end_x ||
+        got.pairs != want.pairs)
+      finding(label + ": traceback differs at r=" + std::to_string(r));
+  }
 }
 
 }  // namespace
@@ -115,6 +156,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
     for (const auto& engine : candidates)
       compare_rows(ref, engine->align_one(job), engine->name(), r);
+    compare_tracebacks(job, ref);
 
     // Resume from every emitted checkpoint row strictly above the bottom row
     // and demand the identical bottom row (§3 bit-identity on resume).

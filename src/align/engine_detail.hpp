@@ -8,6 +8,10 @@
 #include "align/override_triangle.hpp"
 #include "util/check.hpp"
 
+namespace repro::align {
+class TracebackMatrix;
+}  // namespace repro::align
+
 namespace repro::align::detail {
 
 /// Validates a GroupJob against the engine's lane count and output spans.
@@ -35,6 +39,13 @@ inline bool override_bit(const std::atomic<std::uint64_t>* row, int i, int j) {
   const std::int64_t b = j - i - 1;
   return ((row[b >> 6].load(std::memory_order_relaxed) >> (b & 63)) & 1) != 0;
 }
+
+// The traceback matrix fills (traceback_fill.hpp), each defined in the
+// translation unit of its ISA.
+TracebackMatrix fill_traceback_portable(const GroupJob& job);
+#if REPRO_ENABLE_AVX2
+TracebackMatrix fill_traceback_avx2(const GroupJob& job);
+#endif
 
 // Constructors of the engine-table rows defined outside simd_engine.cpp.
 std::unique_ptr<Engine> make_scalar_engine();

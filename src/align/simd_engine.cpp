@@ -9,7 +9,8 @@
 // the identical kernel on compiler vector types without intrinsics: they
 // are every non-x86 build's engines, and a cross-check of the intrinsic
 // rows in tests. Every engine, whatever its TU, is one row of kTable below:
-// name, ISA, precision, lanes and constructor.
+// name, ISA, precision, lanes and constructor. The portable traceback fill
+// (4 x i32) is instantiated here too.
 #include "align/engine.hpp"
 
 #include <limits>
@@ -19,6 +20,7 @@
 #include "align/engine_detail.hpp"
 #include "align/simd_engine_impl.hpp"
 #include "align/simd_kernel.hpp"
+#include "align/traceback_fill.hpp"
 #include "align/vec_ops.hpp"
 #include "obs/metrics.hpp"
 
@@ -122,6 +124,11 @@ constexpr EngineSpec kTable[] = {
 };
 
 }  // namespace
+
+TracebackMatrix fill_traceback_portable(const GroupJob& job) {
+  return fill_traceback<Portable<Score, 4>>(job);
+}
+
 }  // namespace detail
 
 void Engine::align(const GroupJob& job, std::span<const std::span<Score>> out) {

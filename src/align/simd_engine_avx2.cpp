@@ -4,10 +4,11 @@
 // 32 x u8 (biased saturating), and the adaptive driver pairing the 32 x u8
 // kernel with a 32-lane i16 escalation path (VecOps splits its 64-byte
 // vector over two YMM registers; simd_engine_avx512.cpp holds the
-// one-register variant).
+// one-register variant). The AVX2 traceback fill (8 x i32) is here too.
 #include "align/engine.hpp"
 #include "align/engine_detail.hpp"
 #include "align/simd_engine_impl.hpp"
+#include "align/traceback_fill.hpp"
 #include "align/vec_ops.hpp"
 
 namespace repro::align::detail {
@@ -37,6 +38,10 @@ std::unique_ptr<Engine> make_adaptive_avx2_engine(int stripe_cols) {
   return std::make_unique<
       AdaptiveEngineT<Avx2<std::uint8_t, 32>, Avx2<std::int16_t, 32>>>(
       "auto-avx2", stripe_cols);
+}
+
+TracebackMatrix fill_traceback_avx2(const GroupJob& job) {
+  return fill_traceback<Avx2<Score, 8>>(job);
 }
 
 }  // namespace repro::align::detail

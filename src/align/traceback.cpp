@@ -27,47 +27,24 @@ BestEnd find_best_end_impl(std::span<const Score> row, std::span<const T> origin
 }
 
 template <typename T>
-Traceback traceback_best_impl(const GroupJob& job, std::span<const T> original) {
+Traceback traceback_best_impl(const GroupJob& job, std::span<const T> original,
+                              const TracebackFill& fill) {
   REPRO_CHECK(job.count == 1);
+  REPRO_CHECK(job.r0 >= 1 && job.r0 < static_cast<int>(job.seq.size()));
+  REPRO_CHECK_MSG(fill.available(), "traceback fill needs "
+                                        << isa_name(fill.isa)
+                                        << ", which this CPU lacks");
   const auto& seq = job.seq;
-  const int m = static_cast<int>(seq.size());
   const int r = job.r0;
-  const int rows = r;
-  const int cols = m - r;
   const seq::ScoreMatrix& ex = job.scoring->matrix;
   const Score open = job.scoring->gap.open;
   const Score ext = job.scoring->gap.extend;
+  const TracebackMatrix mat = fill.fill(job);
+  const int rows = mat.rows();
+  const auto at = [&mat](int y, int x) { return mat.at(y, x); };
 
-  // Full matrix, (rows+1) x (cols+1), boundary row/column zero.
-  const std::size_t w = static_cast<std::size_t>(cols) + 1;
-  std::vector<Score> mat((static_cast<std::size_t>(rows) + 1) * w, 0);
-  auto at = [&](int y, int x) -> Score& {
-    return mat[static_cast<std::size_t>(y) * w + static_cast<std::size_t>(x)];
-  };
-
-  std::vector<Score> max_y(w, kNegInf);
-  for (int y = 1; y <= rows; ++y) {
-    const int i = y - 1;
-    const std::int16_t* erow = ex.row(seq[static_cast<std::size_t>(i)]);
-    const std::atomic<std::uint64_t>* obits =
-        (job.overrides != nullptr && !job.overrides->row_empty(i))
-            ? job.overrides->row_bits(i)
-            : nullptr;
-    Score max_x = kNegInf;
-    for (int x = 1; x <= cols; ++x) {
-      const int j = r + x - 1;
-      const Score diag = at(y - 1, x - 1);
-      const Score inner = std::max({max_x, max_y[static_cast<std::size_t>(x)], diag});
-      Score h = std::max(Score{0}, erow[seq[static_cast<std::size_t>(j)]] + inner);
-      if (obits != nullptr && detail::override_bit(obits, i, j)) h = 0;
-      at(y, x) = h;
-      max_x = std::max(diag - open, max_x) - ext;
-      max_y[static_cast<std::size_t>(x)] =
-          std::max(diag - open, max_y[static_cast<std::size_t>(x)]) - ext;
-    }
-  }
-
-  const std::span<const Score> bottom(&at(rows, 1), static_cast<std::size_t>(cols));
+  const std::span<const Score> bottom(mat.row(rows),
+                                      static_cast<std::size_t>(mat.cols()));
   const BestEnd end = find_best_end_impl<T>(bottom, original);
   REPRO_CHECK_MSG(end.end_x != 0 && end.score > 0,
                   "traceback requested with no positive valid end cell (r="
@@ -120,7 +97,41 @@ Traceback traceback_best_impl(const GroupJob& job, std::span<const T> original) 
   return tb;
 }
 
+// Narrowest first: the last available row is the default. The AVX2 fill
+// also serves AVX-512BW hosts (8 x i32 in one YMM register), so a run whose
+// sweeps stay in u8 lanes executes no ZMM instruction.
+constexpr TracebackFill kFills[] = {
+    {Isa::kPortable, 4, detail::fill_traceback_portable},
+#if REPRO_ENABLE_AVX2
+    {Isa::kAvx2, 8, detail::fill_traceback_avx2},
+#endif
+};
+
 }  // namespace
+
+TracebackMatrix::TracebackMatrix(int rows, int cols, int lanes)
+    : rows_(rows),
+      cols_(cols),
+      lanes_(static_cast<std::size_t>(lanes)),
+      stride_(lanes_ + (static_cast<std::size_t>(cols) + lanes_ - 1) / lanes_ *
+                           lanes_),
+      cells_((static_cast<std::size_t>(rows) + 1) * stride_) {
+  // The fill writes every other cell a read can reach.
+  std::fill_n(cells_.data(), stride_, 0);
+  for (int y = 1; y <= rows; ++y) row(y)[-1] = 0;
+}
+
+std::span<const TracebackFill> traceback_fills() { return kFills; }
+
+const TracebackFill& default_traceback_fill() {
+  static const TracebackFill& chosen = []() -> const TracebackFill& {
+    const TracebackFill* best = &kFills[0];  // portable: always available
+    for (const TracebackFill& fill : kFills)
+      if (fill.available()) best = &fill;
+    return *best;
+  }();
+  return chosen;
+}
 
 BestEnd find_best_end(std::span<const Score> row,
                       std::span<const std::int16_t> original) {
@@ -134,11 +145,12 @@ BestEnd find_best_end(std::span<const Score> row,
 
 Traceback traceback_best(const GroupJob& job,
                          std::span<const std::int16_t> original) {
-  return traceback_best_impl<std::int16_t>(job, original);
+  return traceback_best_impl<std::int16_t>(job, original,
+                                           default_traceback_fill());
 }
 
 Traceback traceback_best(const GroupJob& job, std::span<const Score> original) {
-  return traceback_best_impl<Score>(job, original);
+  return traceback_best_impl<Score>(job, original, default_traceback_fill());
 }
 
 BestEnd find_best_end(std::span<const Score> row) {
@@ -146,7 +158,11 @@ BestEnd find_best_end(std::span<const Score> row) {
 }
 
 Traceback traceback_best(const GroupJob& job) {
-  return traceback_best_impl<Score>(job, {});
+  return traceback_best_impl<Score>(job, {}, default_traceback_fill());
+}
+
+Traceback traceback_best(const GroupJob& job, const TracebackFill& fill) {
+  return traceback_best_impl<Score>(job, {}, fill);
 }
 
 }  // namespace repro::align

@@ -173,6 +173,45 @@ struct VecOps {
         [&](std::size_t i) { return add<false>(a.part[i], b.part[i]); });
   }
 
+  // The traceback fill's ops (traceback_fill.hpp), for vectors of exactly
+  // one part.
+
+  /// Load from an address of any alignment.
+  static REPRO_FORCE_INLINE Vec loadu(const T* p) {
+    static_assert(kParts == 1 && kBytes == kPartBytes);
+    Vec v{};
+    std::memcpy(&v.part[0], p, kBytes);
+    return v;
+  }
+  /// Lane l takes lane l - N; the N lowest lanes take `fill`.
+  template <int N>
+  static REPRO_FORCE_INLINE Vec shift_up(Vec a, T fill) {
+    static_assert(kParts == 1 && kBytes == kPartBytes && 0 < N && N < Lanes);
+    const Part f = Part{} + fill;
+    return [&]<int... Is>(std::integer_sequence<int, Is...>) {
+      return Vec{{__builtin_shufflevector(a.part[0], f,
+                                          (Is < N ? Lanes : Is - N)...)}};
+    }(std::make_integer_sequence<int, Lanes>{});
+  }
+  /// The highest lane in every lane.
+  static REPRO_FORCE_INLINE Vec broadcast_last(Vec a) {
+    static_assert(kParts == 1 && kBytes == kPartBytes);
+    return [&]<int... Is>(std::integer_sequence<int, Is...>) {
+      return Vec{{__builtin_shufflevector(a.part[0], a.part[0],
+                                          (Is - Is + Lanes - 1)...)}};
+    }(std::make_integer_sequence<int, Lanes>{});
+  }
+  /// a with lane l zeroed wherever bit l of `bits` is set.
+  static REPRO_FORCE_INLINE Vec zero_lanes(Vec a, std::uint64_t bits) {
+    static_assert(kParts == 1 && kBytes == kPartBytes &&
+                  Lanes <= 8 * static_cast<int>(sizeof(T)));
+    const Part lane_bit = [&]<int... Is>(std::integer_sequence<int, Is...>) {
+      return Part{static_cast<T>(T{1} << Is)...};
+    }(std::make_integer_sequence<int, Lanes>{});
+    const Part set = (Part{} + static_cast<T>(bits)) & lane_bit;
+    return Vec{{a.part[0] & (Part)(set == 0)}};
+  }
+
  private:
   /// The vector whose part i is f(i).
   template <class F>

@@ -286,8 +286,10 @@ class Master {
         continue;
 
       const core::Head head = search_.take_head();
+      util::WallTimer traceback_timer;
       core::TopAlignment top = core::accept_alignment(
           s_, scoring_, triangle_, original, head.r, head.score);
+      search_.stats().traceback_seconds += traceback_timer.seconds();
       // Broadcast the triangle growth before any assign can reference the
       // new version (per-channel FIFO makes the ordering safe; a worker
       // that loses this update resynchronises via kSyncRequest).

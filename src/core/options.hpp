@@ -86,6 +86,10 @@ struct FinderStats {
   /// Wall time inside realignment-phase sweeps (version > 0), summed over
   /// workers like idle_seconds.
   double realign_seconds = 0.0;
+  /// Wall time inside acceptances (full-matrix traceback, score check and
+  /// triangle update), the search's sequential part: one acceptance runs at
+  /// a time.
+  double traceback_seconds = 0.0;
   double seconds = 0.0;
   /// Wall time workers spent parked on the scheduler's condition variable,
   /// summed over workers (zero with one worker; the paper's §5.1

@@ -331,16 +331,21 @@ class Scheduler {
     const GroupTask& g = search_.group(head.group);
     sync_cache(w);
     lock.unlock();
-    // Traceback runs unlocked (the paper notes it is the slow sequential
-    // part); it is the only writer of the triangle while accepting.
+    // Traceback runs unlocked (the paper's sequential part: the other
+    // workers may be waiting for its pairs); it is the only writer of the
+    // triangle while accepting.
+    const std::span<const align::Score> recomputed =
+        rows_ ? std::span<const align::Score>()
+              : recompute_original(w, g, head.r - g.r0, head.score);
+    util::WallTimer traceback_timer;
     TopAlignment top =
         rows_ ? accept_with_row(s_, scoring_, triangle_, rows_->row(head.r),
                                 head.r, head.score, options_.traceback)
-              : accept_with_row(s_, scoring_, triangle_,
-                                recompute_original(w, g, head.r - g.r0,
-                                                   head.score),
-                                head.r, head.score, options_.traceback);
+              : accept_with_row(s_, scoring_, triangle_, recomputed, head.r,
+                                head.score, options_.traceback);
+    const double traceback_seconds = traceback_timer.seconds();
     lock.lock();
+    search_.stats().traceback_seconds += traceback_seconds;
     tops_.push_back(std::move(top));
     // Triangle monotone growth: every accepted pair is now overridden.
     for ([[maybe_unused]] const auto& pair : tops_.back().pairs)
@@ -546,6 +551,8 @@ void publish_finder_stats(const FinderStats& stats, int m,
   reg.counter(key("profile_hits")).add(stats.profile_hits);
   if (stats.realign_seconds > 0.0)
     reg.timer(key("realign_seconds")).add_seconds(stats.realign_seconds);
+  if (stats.traceback_seconds > 0.0)
+    reg.timer(key("traceback_seconds")).add_seconds(stats.traceback_seconds);
   if (stats.ckpt_hits + stats.ckpt_misses > 0)
     reg.set_gauge(key("ckpt_hit_rate_pct"),
                   100.0 * static_cast<double>(stats.ckpt_hits) /

@@ -9,7 +9,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <type_traits>
 
 namespace repro::util {
 
@@ -54,6 +56,31 @@ struct AlignedAllocator {
   bool operator==(const AlignedAllocator<U>&) const noexcept {
     return true;
   }
+};
+
+/// n uninitialised T at a cache-line boundary, for large buffers that are
+/// written before they are read. The storage comes from plain operator new:
+/// large aligned_alloc blocks freed per call raised the master/worker
+/// finder's per-call peak RSS from 44 to 62 MiB (perfbench titin_cluster).
+template <typename T>
+class AlignedBuffer {
+  static_assert(std::is_trivially_default_constructible_v<T>);
+
+ public:
+  explicit AlignedBuffer(std::size_t n)
+      : storage_(
+            std::make_unique_for_overwrite<T[]>(n + kCacheLine / sizeof(T))) {
+    void* p = storage_.get();
+    std::size_t space = (n * sizeof(T)) + kCacheLine;
+    data_ = static_cast<T*>(std::align(kCacheLine, n * sizeof(T), p, space));
+  }
+
+  [[nodiscard]] T* data() { return data_; }
+  [[nodiscard]] const T* data() const { return data_; }
+
+ private:
+  std::unique_ptr<T[]> storage_;
+  T* data_;
 };
 
 }  // namespace repro::util

@@ -67,6 +67,7 @@ TEST(Cli, InfoListsEngines) {
   EXPECT_EQ(r.status, 0) << r.out;
   EXPECT_NE(r.out.find("scalar"), std::string::npos);
   EXPECT_NE(r.out.find("default engine"), std::string::npos);
+  EXPECT_NE(r.out.find("traceback fill: "), std::string::npos);
   // Every engine of the table is listed (every adaptive rung among them),
   // available on this host or not.
   for (const auto& spec : repro::align::engine_table())

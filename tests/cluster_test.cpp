@@ -246,6 +246,8 @@ TEST(ClusterFinder, StatsComeFromTheWorkerEngines) {
   EXPECT_GT(res.stats.i8_sweeps, 0u);
   EXPECT_GT(tally, 0u);
   EXPECT_EQ(res.stats.cells, tally);
+  // The master's acceptances are timed like the scheduler's.
+  EXPECT_GT(res.stats.traceback_seconds, 0.0);
 }
 
 TEST(ClusterFinder, RowReplicasFlowWhenWorkersShareWork) {

@@ -210,6 +210,10 @@ TEST(Integration, FinderRunPopulatesGlobalRegistry) {
   // The engine's own accounting must agree with the finder's.
   EXPECT_EQ(snap.counters.at("align.lane_cells"), res.stats.cells);
   EXPECT_GT(snap.counters.at("finder.queue.pushes"), 0u);
+  // The acceptances' wall time, published once from the run's stats.
+  EXPECT_GT(res.stats.traceback_seconds, 0.0);
+  EXPECT_NEAR(snap.timers_sec.at("finder.traceback_seconds"),
+              res.stats.traceback_seconds, 1e-6);
   std::set<std::string> span_names;
   for (const auto& span : snap.spans) span_names.insert(span.name);
   EXPECT_TRUE(span_names.count("finder.run")) << "finder.run span missing";

@@ -4,6 +4,7 @@
 // parts, checked lane by lane against a scalar reference at the edges of
 // each element range. The 8-byte vectors (4 x i16, 8 x u8) ride in the low
 // half of a register, so their stores must not touch the bytes after them.
+// The traceback fill's lane-crossing ops are checked on its 4 x i32 rows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -116,6 +117,38 @@ TYPED_TEST(VecOpsBoundary, MatchesScalarReferenceAtTheRangeEdges) {
     expect_op("set1", a, b, Ops::set1(a[0]),
               [&](int, int) { return int{a[0]}; });
   }
+}
+
+// The traceback fill's lane-crossing ops on its portable and SSE2 rows
+// (4 x i32), lane by lane against a scalar reference.
+template <class Ops>
+void check_traceback_ops() {
+  constexpr int L = Ops::kLanes;
+  alignas(64) Score in[L + 1];
+  for (int k = 0; k <= L; ++k) in[k] = (k % 2 == 0 ? 1 : -1) * (7 + 3 * k);
+  const auto lanes = [](typename Ops::Vec v) {
+    alignas(64) Score out[L];
+    Ops::store(out, v);
+    return std::vector<Score>(out, out + L);
+  };
+  const auto a = Ops::load(in);
+  std::vector<Score> want(L);
+  for (int k = 0; k < L; ++k) want[k] = in[k + 1];
+  EXPECT_EQ(lanes(Ops::loadu(in + 1)), want) << "loadu";
+  for (int k = 0; k < L; ++k) want[k] = k < 1 ? kNegInf : in[k - 1];
+  EXPECT_EQ(lanes(Ops::template shift_up<1>(a, kNegInf)), want) << "shift 1";
+  for (int k = 0; k < L; ++k) want[k] = k < 2 ? 5 : in[k - 2];
+  EXPECT_EQ(lanes(Ops::template shift_up<2>(a, 5)), want) << "shift 2";
+  for (int k = 0; k < L; ++k) want[k] = in[L - 1];
+  EXPECT_EQ(lanes(Ops::broadcast_last(a)), want) << "broadcast_last";
+  for (const std::uint64_t bits : {0x0ULL, 0x5ULL, 0xAULL, 0xFULL, ~0ULL}) {
+    for (int k = 0; k < L; ++k) want[k] = (bits >> k) & 1 ? 0 : in[k];
+    EXPECT_EQ(lanes(Ops::zero_lanes(a, bits)), want) << "zero_lanes " << bits;
+  }
+}
+
+TEST(VecOpsTraceback, LaneCrossingOpsMatchScalarReference) {
+  check_traceback_ops<Portable<Score, 4>>();
 }
 
 }  // namespace

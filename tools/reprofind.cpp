@@ -14,6 +14,7 @@
 #include <iostream>
 
 #include "align/engine.hpp"
+#include "align/traceback.hpp"
 #include "cluster/master_worker.hpp"
 #include "core/consensus.hpp"
 #include "core/delineate.hpp"
@@ -440,6 +441,9 @@ int cmd_info() {
               << align::isa_name(spec.isa) << spec.lanes << " x "
               << precision_names[static_cast<int>(spec.precision)] << '\n';
   std::cout << "default engine: " << align::make_best_engine()->name() << '\n';
+  const align::TracebackFill& fill = align::default_traceback_fill();
+  std::cout << "traceback fill: " << align::isa_name(fill.isa) << ", "
+            << fill.lanes << " x i32\n";
   return 0;
 }
 
