@@ -30,7 +30,8 @@ int PairDirtyIndex::min_dirty_row(int r0) const {
 }
 
 std::optional<CheckpointView> CheckpointCache::find(int r0, bool plain_sweep,
-                                                    int plain_valid_limit) {
+                                                    int plain_valid_limit,
+                                                    CheckpointRow& copy) {
   const CheckpointRow* best = nullptr;
   const Entry* best_entry = nullptr;
   const auto consider = [&](const Entry& e, int row_limit) {
@@ -56,17 +57,20 @@ std::optional<CheckpointView> CheckpointCache::find(int r0, bool plain_sweep,
     return std::nullopt;
   }
   ++stats_.hits;
+  copy.row = best->row;
+  copy.h.assign(best->h.begin(), best->h.end());
+  copy.max_y.assign(best->max_y.begin(), best->max_y.end());
   CheckpointView view;
-  view.row = best->row;
+  view.row = copy.row;
   view.lanes = best_entry->lanes;
   view.elem_size = best_entry->elem_size;
-  view.h = best->h.data();
-  view.max_y = best->max_y.data();
-  view.bytes = best->h.size();
+  view.h = copy.h.data();
+  view.max_y = copy.max_y.data();
+  view.bytes = copy.h.size();
   // Checkpoint-resume consistency: a usable view names a real DP row with
   // a stamped layout and equal-size H/MaxY buffers.
   REPRO_DCHECK(view.row >= 1 && view.lanes >= 1 && view.elem_size >= 1);
-  REPRO_DCHECK(best->h.size() == best->max_y.size());
+  REPRO_DCHECK(copy.h.size() == copy.max_y.size());
   return view;
 }
 
@@ -79,12 +83,18 @@ void CheckpointCache::store(int r0, bool plain_class, Score priority,
     return;
   }
   Entry& e = it != entries_.end() ? it->second : entries_[key];
+  if (!e.rows.empty() &&
+      (e.lanes != sink.lanes || e.elem_size != sink.elem_size)) {
+    REPRO_CHECK_MSG(!plain_class,
+                    "checkpoint layout changed mid-run for plain group r0="
+                        << r0);
+    bytes_ -= e.bytes;
+    e.bytes = 0;
+    e.rows.clear();
+  }
   if (e.rows.empty()) {
     e.lanes = sink.lanes;
     e.elem_size = sink.elem_size;
-  } else {
-    REPRO_CHECK_MSG(e.lanes == sink.lanes && e.elem_size == sink.elem_size,
-                    "checkpoint layout changed mid-run for group r0=" << r0);
   }
   e.priority = priority;
   for (int idx = 0; idx < sink.count; ++idx) {

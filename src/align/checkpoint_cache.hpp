@@ -19,8 +19,10 @@
 //     group's global clean limit (no accepted pair intersects rows above
 //     it). find() takes that limit from the caller.
 //
-// The cache is single-threaded by contract (like engines); parallel workers
-// each own a partition of the byte budget.
+// One cache serves every worker of a run. It is not thread-safe: callers
+// serialise every call (the scheduler holds its run lock). find() copies the
+// resume row into a caller-owned buffer, so a sweep reads it unlocked while
+// other threads store and invalidate.
 #pragma once
 
 #include <cstdint>
@@ -77,15 +79,22 @@ class CheckpointCache {
   /// sweeps take the deeper of the overridden entry (kept current by
   /// invalidate()) and plain rows with row <= `plain_valid_limit` (the
   /// caller's global clean limit for this group).
-  /// The view stays valid until the next store/invalidate call.
+  /// The row is copied into `copy` (reusing its capacity) and the view
+  /// points there, so it outlives later store/invalidate calls: it stays
+  /// valid until `copy` is next written or destroyed.
   [[nodiscard]] std::optional<CheckpointView> find(int r0, bool plain_sweep,
-                                                   int plain_valid_limit);
+                                                   int plain_valid_limit,
+                                                   CheckpointRow& copy);
 
   /// Merges a sweep's staged rows into the (r0, plain_class) entry —
   /// replacing same-row buffers by swap, so warm stores recycle storage —
   /// sets the entry's eviction priority to the group's current best score,
   /// and evicts lowest-priority entries while over budget. Consumes the
-  /// sink's live prefix.
+  /// sink's live prefix. An overridden entry whose layout differs from the
+  /// sink's drops its rows first: workers' adaptive engines escalate groups
+  /// independently, so one worker may sweep an overridden group at u8 and
+  /// another at i16. Plain sweeps of a group escalate alike on every
+  /// engine, so a plain entry's layout never changes.
   void store(int r0, bool plain_class, Score priority, CheckpointSink& sink);
 
   /// Applies one accepted alignment: every overridden entry drops its rows

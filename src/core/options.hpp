@@ -54,9 +54,9 @@ struct FinderOptions {
   /// The override triangle only grows, so DP rows above the topmost
   /// newly-overridden pair are identical between rounds; sweeps resume below
   /// the deepest clean checkpoint instead of recomputing from row 1. The
-  /// parallel finder splits this budget evenly across worker threads. The
-  /// master/worker finder (ranks > 1) keeps no checkpoint cache and ignores
-  /// it.
+  /// parallel finder's worker threads share one cache with this whole
+  /// budget. The master/worker finder (ranks > 1) keeps no checkpoint cache
+  /// and ignores it.
   std::size_t checkpoint_mem = std::size_t{256} << 20;  // 256 MiB
   /// Checkpoint rows emitted per sweep: the grid stride is
   /// ceil(rows / checkpoints_per_sweep); the row just above the group is

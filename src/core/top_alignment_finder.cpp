@@ -53,21 +53,20 @@ TopAlignment accept_with_row(const seq::Sequence& s, const seq::Scoring& scoring
   return top;
 }
 
-/// One worker's private state. Its checkpoint cache partition
-/// (checkpoint_mem / workers) is touched only from the worker's own thread;
-/// invalidations are replayed from the shared dirty list under the run lock
-/// (`synced` is the replay cursor). Sinks, views and output rows are hoisted
-/// here so steady-state realignments allocate nothing; the `plain_` ones
-/// serve the empty-triangle sweeps of MemoryMode::kRecomputeRows.
+/// One worker's private state. Sinks, resume copies (the shared cache copies
+/// a resume row here under the run lock, so the sweep reads it unlocked),
+/// views and output rows are hoisted here so steady-state realignments
+/// allocate nothing; the `plain_` ones serve the empty-triangle sweeps of
+/// MemoryMode::kRecomputeRows.
 struct Worker {
   explicit Worker(align::Engine& e) : engine(e), usage(e) {}
 
   align::Engine& engine;
   EngineUsage usage;
-  std::optional<align::CheckpointCache> cache;
-  int synced = 0;  ///< shared dirty entries already applied to `cache`
   align::CheckpointSink sink;
   align::CheckpointSink plain_sink;
+  align::CheckpointRow resume;
+  align::CheckpointRow plain_resume;
   align::CheckpointView view;
   align::CheckpointView plain_view;
   std::vector<std::vector<align::Score>> rows;
@@ -87,10 +86,10 @@ struct Worker {
 /// acceptance are kept: their results are upper bounds for the grown
 /// triangle and are simply requeued.
 ///
-/// One mutex guards the search and everything else except the override
-/// triangle (atomic bits; the accepting worker is its only writer), the
-/// bottom-row archive (first alignments write disjoint rows before any
-/// acceptance), and each worker's engine and cache.
+/// One mutex guards the search, the checkpoint cache and everything else
+/// except the override triangle (atomic bits; the accepting worker is its
+/// only writer), the bottom-row archive (first alignments write disjoint rows
+/// before any acceptance), and each worker's engine and buffers.
 class Scheduler {
  public:
   Scheduler(const seq::Sequence& s, const seq::Scoring& scoring,
@@ -106,17 +105,17 @@ class Scheduler {
                     "scoring matrix alphabet does not match the sequence");
     if (options.memory == MemoryMode::kArchiveRows)
       rows_.emplace(m_);  // otherwise: Appendix-A linear-memory mode
-    const std::size_t budget =
-        std::max<std::size_t>(1, options.checkpoint_mem / engines.size());
     workers_.reserve(engines.size());
+    bool checkpoints = incremental();
     for (align::Engine* e : engines) {
       REPRO_CHECK_MSG(e->lanes() == engines.front()->lanes(),
                       "all worker engines must have the same lane count");
       Worker& w = workers_.emplace_back(*e);
       w.rows.resize(static_cast<std::size_t>(e->lanes()));
       w.plain_rows.resize(static_cast<std::size_t>(e->lanes()));
-      if (incremental() && e->supports_checkpoints()) w.cache.emplace(budget);
+      checkpoints = checkpoints && e->supports_checkpoints();
     }
+    if (checkpoints) cache_.emplace(options.checkpoint_mem);
   }
 
   /// Runs worker 0 on the calling thread and every further worker on its
@@ -142,16 +141,16 @@ class Scheduler {
       k += name;
       return k;
     };
+    if (cache_) {
+      const align::CheckpointCacheStats& cs = cache_->stats();
+      stats.ckpt_hits = cs.hits;
+      stats.ckpt_misses = cs.misses;
+      stats.ckpt_evictions = cs.evictions;
+    }
     for (std::size_t k = 0; k < workers_.size(); ++k) {
       const Worker& w = workers_[k];
       w.usage.add_to(stats);
       stats.idle_seconds += w.idle;
-      if (w.cache) {
-        const align::CheckpointCacheStats& cs = w.cache->stats();
-        stats.ckpt_hits += cs.hits;
-        stats.ckpt_misses += cs.misses;
-        stats.ckpt_evictions += cs.evictions;
-      }
       if constexpr (obs::kEnabled)
         obs::Registry::global()
             .timer(key("idle_wait_sec.t") + std::to_string(k))
@@ -205,14 +204,6 @@ class Scheduler {
     return true;
   }
 
-  /// Replays acceptances the worker's cache has not seen yet. Caller holds
-  /// the lock.
-  void sync_cache(Worker& w) {
-    if (!w.cache) return;
-    for (; w.synced < static_cast<int>(dirty_.size()); ++w.synced)
-      w.cache->invalidate(dirty_[static_cast<std::size_t>(w.synced)]);
-  }
-
   align::GroupJob make_job(int r0, int count,
                            const align::OverrideTriangle* overrides) const {
     align::GroupJob job;
@@ -227,17 +218,19 @@ class Scheduler {
   /// Wires checkpoint resume and emission into a sweep job; returns the
   /// number of DP rows the sweep will restore instead of computing. `lookup`
   /// is off for first alignments (nothing can be cached yet, and counting
-  /// them as misses would dilute the hit rate). Overridden lookups read the
-  /// shared dirty list, so the caller then holds the lock.
-  int attach_checkpoints(Worker& w, align::GroupJob& job,
-                         align::CheckpointSink& sink,
+  /// them as misses would dilute the hit rate). The caller holds the lock
+  /// (the cache and the dirty list are shared); the resume row is copied
+  /// into `copy`, which the sweep then reads unlocked.
+  int attach_checkpoints(align::GroupJob& job, align::CheckpointSink& sink,
+                         align::CheckpointRow& copy,
                          align::CheckpointView& view, bool plain_sweep,
-                         bool lookup) const {
-    if (!w.cache) return 0;
+                         bool lookup) {
+    if (!cache_) return 0;
     int resumed = 0;
     if (lookup) {
-      const auto found = w.cache->find(
-          job.r0, plain_sweep, plain_sweep ? 0 : plain_valid_limit(job.r0));
+      const auto found =
+          cache_->find(job.r0, plain_sweep,
+                       plain_sweep ? 0 : plain_valid_limit(job.r0), copy);
       if (found) {
         view = *found;
         job.resume = &view;
@@ -312,31 +305,33 @@ class Scheduler {
   /// Recomputes the empty-triangle bottom rows of group g — the shadow-
   /// rejection references when no archive is kept — on the worker's engine
   /// and returns member b's. Sweeping the whole group keeps the plain
-  /// checkpoint entry in one layout and resumes just above the group.
-  std::span<const align::Score> recompute_original(Worker& w,
-                                                   const GroupTask& g, int b,
-                                                   align::Score priority) {
+  /// checkpoint entry in one layout and resumes just above the group. Called
+  /// and returns with the lock held; the sweep itself runs unlocked.
+  std::span<const align::Score> recompute_original(
+      std::unique_lock<std::mutex>& lock, Worker& w, const GroupTask& g, int b,
+      align::Score priority) {
     align::GroupJob plain = make_job(g.r0, g.count, nullptr);
-    attach_checkpoints(w, plain, w.plain_sink, w.plain_view,
+    attach_checkpoints(plain, w.plain_sink, w.plain_resume, w.plain_view,
                        /*plain_sweep=*/true, /*lookup=*/true);
+    lock.unlock();
     size_outputs(w.plain_rows, w.plain_outs, g);
     w.engine.align(plain, w.plain_outs);
-    if (w.cache)
-      w.cache->store(g.r0, /*plain_class=*/true, priority, w.plain_sink);
+    lock.lock();
+    if (cache_)
+      cache_->store(g.r0, /*plain_class=*/true, priority, w.plain_sink);
     return w.plain_rows[static_cast<std::size_t>(b)];
   }
 
   void accept_head(std::unique_lock<std::mutex>& lock, Worker& w) {
     const Head head = search_.take_head();
     const GroupTask& g = search_.group(head.group);
-    sync_cache(w);
+    const std::span<const align::Score> recomputed =
+        rows_ ? std::span<const align::Score>()
+              : recompute_original(lock, w, g, head.r - g.r0, head.score);
     lock.unlock();
     // Traceback runs unlocked (the paper's sequential part: the other
     // workers may be waiting for its pairs); it is the only writer of the
     // triangle while accepting.
-    const std::span<const align::Score> recomputed =
-        rows_ ? std::span<const align::Score>()
-              : recompute_original(w, g, head.r - g.r0, head.score);
     util::WallTimer traceback_timer;
     TopAlignment top =
         rows_ ? accept_with_row(s_, scoring_, triangle_, rows_->row(head.r),
@@ -350,9 +345,11 @@ class Scheduler {
     // Triangle monotone growth: every accepted pair is now overridden.
     for ([[maybe_unused]] const auto& pair : tops_.back().pairs)
       REPRO_DCHECK(triangle_.contains(pair.first, pair.second));
-    if (incremental())
+    if (incremental()) {
       dirty_.emplace_back(
           std::span<const std::pair<int, int>>(tops_.back().pairs));
+      if (cache_) cache_->invalidate(dirty_.back());
+    }
     search_.accepted_head(head);
   }
 
@@ -376,19 +373,20 @@ class Scheduler {
     }
 
     const int rows_g = g.r0 + g.count - 1;
-    // Checkpoint sync and lookups run locked (the dirty list is shared); the
-    // views stay valid unlocked because only this thread mutates the cache.
-    // A version-0 sweep runs under the empty triangle and is cached as a
-    // plain sweep; overridden checkpoints stay valid via invalidation.
-    sync_cache(w);
+    // Lookups run locked and copy their rows into the worker's buffers, so
+    // the sweeps below read them unlocked while other workers store and
+    // invalidate. A version-0 sweep runs under the empty triangle and is
+    // cached as a plain sweep; overridden checkpoints stay valid via
+    // invalidation.
     align::GroupJob job = make_job(g.r0, g.count, v == 0 ? nullptr : &triangle_);
-    const int resumed = attach_checkpoints(w, job, w.sink, w.view,
+    const int resumed = attach_checkpoints(job, w.sink, w.resume, w.view,
                                            /*plain_sweep=*/v == 0,
                                            /*lookup=*/v > 0);
     align::GroupJob plain = make_job(g.r0, g.count, nullptr);
     const int plain_resumed =
-        recompute ? attach_checkpoints(w, plain, w.plain_sink, w.plain_view,
-                                       /*plain_sweep=*/true, /*lookup=*/true)
+        recompute ? attach_checkpoints(plain, w.plain_sink, w.plain_resume,
+                                       w.plain_view, /*plain_sweep=*/true,
+                                       /*lookup=*/true)
                   : 0;
     lock.unlock();
 
@@ -426,7 +424,7 @@ class Scheduler {
     }
 
     lock.lock();
-    if (w.cache) {
+    if (cache_) {
       // The sweep ran unlocked, so the triangle may have grown under it:
       // staged rows at or past any mid-sweep acceptance's dirty row could
       // reflect torn override bits — drop them before committing. Rows below
@@ -448,9 +446,9 @@ class Scheduler {
       }
       const align::Score priority =
           *std::max_element(new_scores.begin(), new_scores.end());
-      w.cache->store(g.r0, /*plain_class=*/v == 0, priority, w.sink);
+      cache_->store(g.r0, /*plain_class=*/v == 0, priority, w.sink);
       if (recompute)
-        w.cache->store(g.r0, /*plain_class=*/true, priority, w.plain_sink);
+        cache_->store(g.r0, /*plain_class=*/true, priority, w.plain_sink);
     }
     FinderStats& stats = search_.stats();
     if (v > 0) {
@@ -472,6 +470,7 @@ class Scheduler {
   BestFirstSearch search_;
   align::OverrideTriangle triangle_;
   std::optional<align::BottomRowStore> rows_;
+  std::optional<align::CheckpointCache> cache_;  ///< shared by every worker
   std::vector<Worker> workers_;
   std::vector<align::PairDirtyIndex> dirty_;  ///< one entry per acceptance
 

@@ -36,6 +36,12 @@ class Alphabet {
 
   [[nodiscard]] char decode(std::uint8_t code) const;
 
+  /// Code of every byte value (either case of a residue), -1 for bytes
+  /// outside the alphabet: one lookup per character for bulk encoders.
+  [[nodiscard]] const std::array<std::int8_t, 256>& code_table() const {
+    return to_code_;
+  }
+
   /// Code of the ambiguity/unknown residue (X for protein, N for DNA).
   [[nodiscard]] std::uint8_t unknown_code() const { return unknown_; }
 

@@ -1,14 +1,21 @@
 #include "seq/fasta.hpp"
 
-#include <cctype>
+#include <array>
 #include <fstream>
 #include <sstream>
 
 #include "util/check.hpp"
 
 namespace repro::seq {
+namespace {
+
+/// std::isspace in the "C" locale, without the per-character library call.
+constexpr bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+}  // namespace
 
 std::vector<Sequence> read_fasta(std::istream& in, const Alphabet& alphabet) {
+  const std::array<std::int8_t, 256>& table = alphabet.code_table();
   std::vector<Sequence> records;
   std::string name;
   std::vector<std::uint8_t> codes;
@@ -39,13 +46,22 @@ std::vector<Sequence> read_fasta(std::istream& in, const Alphabet& alphabet) {
       name = pos == std::string::npos ? std::string() : name.substr(pos);
     } else {
       REPRO_CHECK_MSG(in_record, "FASTA data before the first '>' header");
-      for (char c : line) {
-        if (std::isspace(static_cast<unsigned char>(c)) != 0) continue;
+      // One table lookup per character; room for the whole line up front.
+      const std::size_t start = codes.size();
+      codes.resize(start + line.size());
+      std::uint8_t* out = codes.data() + start;
+      for (const char c : line) {
+        const std::int8_t code = table[static_cast<unsigned char>(c)];
+        if (code >= 0) {
+          *out++ = static_cast<std::uint8_t>(code);
+          continue;
+        }
+        if (is_space(c)) continue;
         REPRO_CHECK_MSG(alphabet.valid(c), "invalid residue '"
                                                << c << "' in record '" << name
                                                << "'");
-        codes.push_back(alphabet.encode(c));
       }
+      codes.resize(static_cast<std::size_t>(out - codes.data()));
     }
   }
   flush();

@@ -91,19 +91,20 @@ TEST(CheckpointCacheTest, FindReturnsDeepestRowWithinValidityLimits) {
   auto sink = make_sink(4, 9, 16, std::byte{0x5a});  // rows 4, 8, 9
   cache.store(5, /*plain_class=*/true, 10, sink);
 
-  const auto plain = cache.find(5, /*plain_sweep=*/true, 0);
+  CheckpointRow copy;
+  const auto plain = cache.find(5, /*plain_sweep=*/true, 0, copy);
   ASSERT_TRUE(plain.has_value());
   EXPECT_EQ(plain->row, 9);  // plain sweeps ignore the limit
   EXPECT_EQ(plain->lanes, 1);
   EXPECT_EQ(plain->elem_size, 4);
   EXPECT_EQ(plain->bytes, 16u);
 
-  const auto clamped = cache.find(5, /*plain_sweep=*/false, 7);
+  const auto clamped = cache.find(5, /*plain_sweep=*/false, 7, copy);
   ASSERT_TRUE(clamped.has_value());
   EXPECT_EQ(clamped->row, 4);  // deepest plain row <= the clean limit
 
-  EXPECT_FALSE(cache.find(5, /*plain_sweep=*/false, 2).has_value());
-  EXPECT_FALSE(cache.find(7, /*plain_sweep=*/true, 0).has_value());
+  EXPECT_FALSE(cache.find(5, /*plain_sweep=*/false, 2, copy).has_value());
+  EXPECT_FALSE(cache.find(7, /*plain_sweep=*/true, 0, copy).has_value());
   EXPECT_EQ(cache.stats().hits, 2u);
   EXPECT_EQ(cache.stats().misses, 2u);
 }
@@ -120,11 +121,12 @@ TEST(CheckpointCacheTest, InvalidateDropsOverriddenRowsButKeepsPlain) {
   cache.invalidate(PairDirtyIndex{std::span<const std::pair<int, int>>(pairs)});
   EXPECT_EQ(cache.stats().invalidated_rows, 2u);  // overridden rows 8 and 9
 
+  CheckpointRow copy;
   const auto over = cache.find(5, /*plain_sweep=*/false,
-                               std::numeric_limits<int>::max());
+                               std::numeric_limits<int>::max(), copy);
   ASSERT_TRUE(over.has_value());
   EXPECT_EQ(over->row, 9);  // plain row 9 beats surviving overridden row 4
-  const auto plain = cache.find(5, /*plain_sweep=*/true, 0);
+  const auto plain = cache.find(5, /*plain_sweep=*/true, 0, copy);
   ASSERT_TRUE(plain.has_value());
   EXPECT_EQ(plain->row, 9);  // plain entry untouched by invalidation
 }
@@ -144,8 +146,9 @@ TEST(CheckpointCacheTest, TinyBudgetEvictsLowestPriorityEntry) {
   auto high = make_sink(4, 4, 16, std::byte{2});
   cache2.store(9, true, /*priority=*/90, high);
   EXPECT_EQ(cache2.stats().evictions, 1u);
-  EXPECT_FALSE(cache2.find(3, true, 0).has_value());  // low priority evicted
-  EXPECT_TRUE(cache2.find(9, true, 0).has_value());
+  CheckpointRow copy;
+  EXPECT_FALSE(cache2.find(3, true, 0, copy).has_value());  // low priority
+  EXPECT_TRUE(cache2.find(9, true, 0, copy).has_value());
 }
 
 TEST(CheckpointCacheTest, SameRowStoreRecyclesBytes) {
@@ -156,9 +159,70 @@ TEST(CheckpointCacheTest, SameRowStoreRecyclesBytes) {
   auto again = make_sink(4, 9, 16, std::byte{2});
   cache.store(5, true, 11, again);
   EXPECT_EQ(cache.bytes(), bytes_once);  // same grid: no growth
-  const auto view = cache.find(5, true, 0);
+  CheckpointRow copy;
+  const auto view = cache.find(5, true, 0, copy);
   ASSERT_TRUE(view.has_value());
   EXPECT_EQ(view->h[0], std::byte{2});  // newest sweep's state won
+}
+
+TEST(CheckpointCacheTest, ResumeCopyOutlivesEvictionAndInvalidation) {
+  // Workers read their resume rows unlocked while other workers store and
+  // invalidate: the bytes find() hands out must not live in the cache.
+  CheckpointCache cache(40);  // fits one 32-byte row, not two
+  const auto intact = [](const CheckpointView& v, std::byte fill) {
+    for (std::size_t t = 0; t < v.bytes; ++t)
+      if (v.h[t] != fill || v.max_y[t] != fill) return false;
+    return true;
+  };
+  auto low = make_sink(4, 4, 16, std::byte{7});
+  cache.store(3, /*plain_class=*/false, /*priority=*/10, low);
+  CheckpointRow low_copy;
+  const auto low_view = cache.find(3, /*plain_sweep=*/false,
+                                   std::numeric_limits<int>::max(), low_copy);
+  ASSERT_TRUE(low_view.has_value());
+
+  auto high = make_sink(4, 4, 16, std::byte{9});
+  cache.store(9, /*plain_class=*/false, /*priority=*/90, high);
+  EXPECT_EQ(cache.stats().evictions, 1u);  // group 3's entry is gone
+  EXPECT_TRUE(intact(*low_view, std::byte{7}));
+
+  CheckpointRow high_copy;
+  const auto high_view = cache.find(9, /*plain_sweep=*/false,
+                                    std::numeric_limits<int>::max(), high_copy);
+  ASSERT_TRUE(high_view.has_value());
+  // A pair at (i=1, j=10) dirties DP rows >= 2 of group 9: its row 4 goes.
+  const std::vector<std::pair<int, int>> pairs{{1, 10}};
+  cache.invalidate(PairDirtyIndex{std::span<const std::pair<int, int>>(pairs)});
+  EXPECT_EQ(cache.stats().invalidated_rows, 1u);
+  EXPECT_EQ(cache.bytes(), 0u);
+  EXPECT_TRUE(intact(*high_view, std::byte{9}));
+  EXPECT_TRUE(intact(*low_view, std::byte{7}));
+}
+
+TEST(CheckpointCacheTest, OverriddenEntryTakesTheNewestLayout) {
+  // Workers' adaptive engines escalate independently, so one overridden
+  // group may be stored at u8 by one worker and at i16 by another. A plain
+  // group escalates alike everywhere, so its layout never changes.
+  CheckpointCache cache(1 << 20);
+  auto wide = make_sink(4, 9, 16, std::byte{1});  // elem_size 4
+  cache.store(5, /*plain_class=*/false, 10, wide);
+  auto narrow = make_sink(4, 4, 8, std::byte{2});
+  narrow.elem_size = 2;
+  cache.store(5, /*plain_class=*/false, 10, narrow);
+  EXPECT_EQ(cache.bytes(), 16u);  // rows 4, 8 and 9 of the old layout dropped
+  CheckpointRow copy;
+  const auto view = cache.find(5, /*plain_sweep=*/false,
+                               std::numeric_limits<int>::max(), copy);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->row, 4);
+  EXPECT_EQ(view->elem_size, 2);
+
+  auto plain_wide = make_sink(4, 9, 16, std::byte{3});
+  cache.store(5, /*plain_class=*/true, 10, plain_wide);
+  auto plain_narrow = make_sink(4, 4, 8, std::byte{4});
+  plain_narrow.elem_size = 2;
+  EXPECT_THROW(cache.store(5, /*plain_class=*/true, 10, plain_narrow),
+               std::logic_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -588,24 +652,54 @@ TEST(CheckpointFinder, ExhaustivePolicyAgreesWithCacheOn) {
   EXPECT_TRUE(core::same_tops(a.tops, b.tops, &diff)) << diff;
 }
 
-TEST(CheckpointFinder, ParallelWorkersWithCachePartitionsMatchSequential) {
-  const auto g = seq::synthetic_titin(260, 17);
+TEST(CheckpointFinder, SharedCacheMatchesOneWorkerAcrossThreadsBudgetsAndModes) {
+  // Every worker resumes from the one shared cache. The tiny budgets make
+  // other workers evict entries (and acceptances drop rows) while a sweep
+  // reads its resume row; the conserved input escalates groups to i16 on
+  // some workers' engines but not on others'.
+  seq::RepeatSpec spec;
+  spec.unit_length = 24;
+  spec.copies = 8;
+  spec.conservation = 0.95;
+  spec.indel_rate = 0.0;
+  spec.tandem = true;
+  const seq::GeneratedSequence inputs[] = {
+      seq::synthetic_titin(260, 17),
+      seq::make_repeat_sequence(seq::Alphabet::protein(), 240, spec, 17)};
   const seq::Scoring scoring = seq::Scoring::protein_default();
-  FinderOptions off;
-  off.num_top_alignments = 8;
-  off.checkpoint_mem = 0;
-  const auto seq_engine = align::make_engine(align::EngineKind::kSimd8Generic);
-  const auto reference =
-      find_top_alignments(g.sequence, scoring, off, *seq_engine);
-
-  parallel::ParallelOptions popt;
-  popt.threads = 3;
-  popt.finder.num_top_alignments = 8;  // checkpoint cache on by default
-  const auto par = parallel::find_top_alignments_parallel(
-      g.sequence, scoring, popt,
-      align::engine_factory(align::EngineKind::kSimd8Generic));
-  std::string diff;
-  EXPECT_TRUE(core::same_tops(reference.tops, par.tops, &diff)) << diff;
+  for (const auto& g : inputs) {
+    for (const std::size_t budget :
+         {std::size_t{1}, std::size_t{1} << 20, CheckpointCache::kDefaultBudget}) {
+      for (const auto memory :
+           {core::MemoryMode::kArchiveRows, core::MemoryMode::kRecomputeRows}) {
+        parallel::ParallelOptions popt;
+        popt.finder.num_top_alignments = 8;
+        popt.finder.checkpoint_mem = budget;
+        popt.finder.memory = memory;
+        popt.threads = 1;
+        const auto factory = align::engine_factory(align::EngineKind::kSimdAuto);
+        const auto reference = parallel::find_top_alignments_parallel(
+            g.sequence, scoring, popt, factory);
+        if (&g == &inputs[1]) {
+          EXPECT_GT(reference.stats.precision_escalations, 0u);
+        }
+        for (const int threads : {2, 3, 4, 8}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "m=" << g.sequence.length() << " budget=" << budget
+                       << " memory="
+                       << (memory == core::MemoryMode::kArchiveRows
+                               ? "archive"
+                               : "recompute")
+                       << " threads=" << threads);
+          popt.threads = threads;
+          const auto par = parallel::find_top_alignments_parallel(
+              g.sequence, scoring, popt, factory);
+          std::string diff;
+          EXPECT_TRUE(core::same_tops(reference.tops, par.tops, &diff)) << diff;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

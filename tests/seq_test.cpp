@@ -85,6 +85,21 @@ TEST(Fasta, InvalidResidueThrows) {
   EXPECT_THROW(read_fasta(in, Alphabet::dna()), std::logic_error);
 }
 
+TEST(Fasta, InvalidResidueMessageNamesResidueAndRecord) {
+  std::istringstream in(">first\nACGT\n>second rec\nAC GT\nAC-T\n");
+  try {
+    (void)read_fasta(in, Alphabet::dna());
+    FAIL() << "invalid residue was accepted";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    const std::string expected = "invalid residue '-' in record 'second rec'";
+    ASSERT_GE(what.size(), expected.size()) << what;
+    EXPECT_EQ(what.substr(what.size() - expected.size()), expected) << what;
+    EXPECT_NE(what.find("check failed: alphabet.valid(c)"), std::string::npos)
+        << what;
+  }
+}
+
 TEST(Fasta, HeaderOnlyRecordMidFileThrowsWithName) {
   std::istringstream in(">first\n>second\nACGT\n");
   try {

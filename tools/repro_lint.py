@@ -49,6 +49,13 @@ one-search-core       src/ files outside src/core/ may not name GroupQueue,
                       TaskKey comparator: every finder drives the one
                       core::BestFirstSearch instead of forking its queue,
                       in-flight bounds and acceptance rule.
+one-checkpoint-cache  src/ may construct an align::CheckpointCache (a value,
+                      a temporary or a template argument such as
+                      std::optional<CheckpointCache>) only in
+                      src/core/top_alignment_finder.cpp: every worker of a
+                      run shares the scheduler's one cache, so per-worker
+                      caches cannot return. tests/ and bench/ are exempt,
+                      and so are the class's own checkpoint_cache files.
 nolint-reason         every NOLINT must name its check and give a reason:
                       // NOLINT(<check>): <reason>
 shell-hygiene         shell scripts start with a bash shebang and set
@@ -388,6 +395,28 @@ def check_one_search_core() -> None:
                      "queue, in-flight bounds or key order")
 
 
+CACHE_HOMES = {("src", "core", "top_alignment_finder.cpp"),
+               ("src", "align", "checkpoint_cache.hpp"),
+               ("src", "align", "checkpoint_cache.cpp")}
+CACHE_CONSTRUCT = re.compile(
+    r"\bCheckpointCache\b\s*(?:[>({]|\w+\s*[({;=,)])")
+
+
+def check_one_checkpoint_cache() -> None:
+    for path in glob_files(["src/**/*.cpp", "src/**/*.hpp"]):
+        if path.relative_to(ROOT).parts in CACHE_HOMES:
+            continue
+        raw = path.read_text().splitlines()
+        code = strip_comments_and_strings(path.read_text()).splitlines()
+        for no, (raw_line, code_line) in enumerate(zip(raw, code), start=1):
+            m = CACHE_CONSTRUCT.search(code_line)
+            if m and not allowed(raw_line, "one-checkpoint-cache"):
+                fail(path, no, "one-checkpoint-cache",
+                     f"'{m.group(0).strip()}' outside "
+                     "src/core/top_alignment_finder.cpp: every worker shares "
+                     "the scheduler's one checkpoint cache")
+
+
 def check_nolint_reasons() -> None:
     for path in glob_files(CXX_GLOBS):
         for no, line in enumerate(path.read_text().splitlines(), start=1):
@@ -431,6 +460,7 @@ def main() -> int:
     check_raw_new_delete()
     check_metrics_naming()
     check_one_search_core()
+    check_one_checkpoint_cache()
     check_nolint_reasons()
     check_shell_hygiene()
     check_format_fallback()
