@@ -5,7 +5,8 @@
 //     FaultPlan::parse must either reject it with std::runtime_error or
 //     accept it and round-trip losslessly through to_string()/parse().
 //   odd — differential path: the bytes choose a from_seed schedule, a rank
-//     count, and a row-storage mode; a miniature cluster run under that
+//     count, a row-storage mode, a memory mode (archived or recomputed
+//     originals) and a traceback mode; a miniature cluster run under that
 //     schedule (drops, delays, duplicates, worker crashes) must produce
 //     exactly the sequential finder's accepted top alignments — the
 //     fault-tolerance guarantee of cluster/master_worker.cpp. Timeouts are
@@ -17,6 +18,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "align/engine.hpp"
@@ -35,17 +37,20 @@ using namespace repro;
   throw std::logic_error("fault plan: " + what);
 }
 
-// Sequential references are pure functions of the sequence length here (the
-// generator seed is fixed), so the replay cache makes the differential path
-// cheap across iterations.
+// Sequential references are pure functions of the sequence length and the
+// finder modes here (the generator seed is fixed), so the replay cache makes
+// the differential path cheap across iterations.
 const core::FinderResult& reference_for(int m, const seq::Sequence& s,
                                         const seq::Scoring& scoring,
                                         const core::FinderOptions& opt) {
-  static std::map<int, core::FinderResult> cache;
-  const auto it = cache.find(m);
+  using Key = std::tuple<int, core::MemoryMode, core::TracebackMode>;
+  static std::map<Key, core::FinderResult> cache;
+  const Key key{m, opt.memory, opt.traceback};
+  const auto it = cache.find(key);
   if (it != cache.end()) return it->second;
   const auto engine = align::make_engine(align::EngineKind::kScalar);
-  return cache.emplace(m, core::find_top_alignments(s, scoring, opt, *engine))
+  return cache
+      .emplace(key, core::find_top_alignments(s, scoring, opt, *engine))
       .first->second;
 }
 
@@ -78,6 +83,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   if (size < 4) return 0;
   const int ranks = 2 + static_cast<int>(data[1] % 3);  // 2..4
   const bool partitioned = (data[2] & 1) != 0;
+  const bool low_memory = (data[2] & 2) != 0;
+  const bool linear = (data[2] & 4) != 0;
   const int m = 100 + static_cast<int>(data[3] % 21);  // 100..120
   std::uint64_t fault_seed = 0;
   for (std::size_t i = 1; i < size && i < 12; ++i)
@@ -87,6 +94,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const seq::Scoring scoring = seq::Scoring::protein_default();
   core::FinderOptions opt;
   opt.num_top_alignments = 2;
+  if (low_memory) opt.memory = core::MemoryMode::kRecomputeRows;
+  if (linear) opt.traceback = core::TracebackMode::kLinearSpace;
   const core::FinderResult& reference =
       reference_for(m, g.sequence, scoring, opt);
 
@@ -110,6 +119,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   if (!core::same_tops(res.tops, reference.tops, &diff))
     finding("faulted cluster diverged from sequential (ranks=" +
             std::to_string(ranks) + (partitioned ? ", partitioned" : "") +
+            (low_memory ? ", low-memory" : "") +
+            (linear ? ", linear-traceback" : "") +
             ", plan=" + copt.fault_plan.to_string() + "): " + diff);
   return 0;
 }

@@ -58,8 +58,11 @@ class Engine {
   /// out[k] must have exactly m - (job.r0 + k) elements. Non-virtual: the
   /// wrapper centralizes the cell/alignment accounting (identical for every
   /// engine: lanes x rows x columns per group) and reports it to the global
-  /// observability registry, so kernels never touch counters.
-  void align(const GroupJob& job, std::span<const std::span<Score>> out);
+  /// observability registry, so kernels never touch counters. Returns the
+  /// DP rows restored from job.resume instead of computed: job.resume->row
+  /// when the kernel took it, 0 when it swept from row 1 (no resume, an
+  /// engine without checkpoint support, or a resume the kernel dropped).
+  int align(const GroupJob& job, std::span<const std::span<Score>> out);
 
   /// Convenience wrapper for single-rectangle use (tests, traceback prep).
   std::vector<Score> align_one(const GroupJob& job);

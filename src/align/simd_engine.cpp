@@ -131,16 +131,21 @@ TracebackMatrix fill_traceback_portable(const GroupJob& job) {
 
 }  // namespace detail
 
-void Engine::align(const GroupJob& job, std::span<const std::span<Score>> out) {
-  do_align(job, out);
+int Engine::align(const GroupJob& job, std::span<const std::span<Score>> out) {
+  // Rows restored from a checkpoint are never computed; count them apart so
+  // cells/sec stays an honest throughput number. The kernel reports a resume
+  // it dropped through the job, which a decorating engine passes on to the
+  // engine it wraps.
+  int restored = (job.resume != nullptr && supports_checkpoints())
+                     ? job.resume->row
+                     : 0;
+  GroupJob reported = job;
+  reported.resumed_rows = &restored;
+  do_align(reported, out);
+  if (job.resumed_rows != nullptr) *job.resumed_rows = restored;
   const auto m = static_cast<std::uint64_t>(job.seq.size());
   const std::uint64_t width = m - static_cast<std::uint64_t>(job.r0);
-  // Rows restored from a checkpoint are never computed; count them apart so
-  // cells/sec stays an honest throughput number.
-  const std::uint64_t resumed_rows =
-      (job.resume != nullptr && supports_checkpoints())
-          ? static_cast<std::uint64_t>(job.resume->row)
-          : 0;
+  const auto resumed_rows = static_cast<std::uint64_t>(restored);
   const std::uint64_t group_cells =
       (static_cast<std::uint64_t>(job.r0 + job.count - 1) - resumed_rows) *
       width * static_cast<std::uint64_t>(lanes());
@@ -164,6 +169,7 @@ void Engine::align(const GroupJob& job, std::span<const std::span<Score>> out) {
       lane_cells_skipped.add(skipped_cells);
     }
   }
+  return restored;
 }
 
 std::vector<Score> Engine::align_one(const GroupJob& job) {

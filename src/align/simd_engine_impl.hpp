@@ -150,6 +150,15 @@ class AdaptiveEngineT final : public Engine {
   }
 
  protected:
+  /// Keeps the job's resume only when its lanes are `elem_size` bytes wide
+  /// and tells Engine::align how many rows the sweep restores.
+  static void fit_resume(GroupJob& job, int elem_size) {
+    if (job.resume != nullptr && job.resume->elem_size != elem_size)
+      job.resume = nullptr;
+    if (job.resumed_rows != nullptr)
+      *job.resumed_rows = job.resume != nullptr ? job.resume->row : 0;
+  }
+
   void do_align(const GroupJob& job,
                 std::span<const std::span<Score>> out) override {
     validate_job(job, out, lanes());
@@ -164,8 +173,7 @@ class AdaptiveEngineT final : public Engine {
       GroupJob j8 = job;
       // A checkpoint from the other precision's layout cannot seed this
       // sweep; drop it and sweep from row 1 (correct, just undiscounted).
-      if (j8.resume != nullptr && j8.resume->elem_size != 1)
-        j8.resume = nullptr;
+      fit_resume(j8, 1);
       bool sat = false;
       run_simd_group<Ops8>(j8, out, stripe8_, scratch8_, profile8_, &sat);
       note_sweep<std::uint8_t>(stats_);
@@ -181,8 +189,7 @@ class AdaptiveEngineT final : public Engine {
     }
     note_profile_obs(profile16_.ensure(job.seq, *job.scoring, stats_));
     GroupJob j16 = job;
-    if (j16.resume != nullptr && j16.resume->elem_size != 2)
-      j16.resume = nullptr;
+    fit_resume(j16, 2);
     bool sat = false;
     run_simd_group<Ops16>(j16, out, stripe16_, scratch16_, profile16_, &sat);
     note_sweep<std::int16_t>(stats_);

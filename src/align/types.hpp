@@ -117,6 +117,11 @@ struct GroupJob {
   /// When set (and the engine supports checkpoints), the kernel emits
   /// checkpoint rows on the sink's grid for rows >= the resume point.
   CheckpointSink* sink = nullptr;
+  /// Engine::align points this at its count of rows restored from `resume`
+  /// before calling the kernel; a kernel that drops the resume and sweeps
+  /// from row 1 sets it to 0. Callers leave it unset and read the count
+  /// Engine::align returns.
+  int* resumed_rows = nullptr;
 };
 
 }  // namespace repro::align

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -13,8 +14,8 @@
 
 #include "align/bottom_row_store.hpp"
 #include "align/override_triangle.hpp"
-#include "align/traceback.hpp"
 #include "cluster/mpisim.hpp"
+#include "core/group_sweep.hpp"
 #include "core/task_queue.hpp"
 #include "core/top_alignment_finder.hpp"
 #include "obs/metrics.hpp"
@@ -80,6 +81,30 @@ std::vector<std::int16_t> row_from_message(const Message& msg) {
   return row;
 }
 
+/// Rows travel and are cached as i16, like the archive's entries.
+std::vector<std::int16_t> narrow(std::span<const align::Score> row) {
+  if (!row.empty()) {
+    const auto [lo, hi] = std::minmax_element(row.begin(), row.end());
+    REPRO_CHECK_MSG(*lo >= std::numeric_limits<std::int16_t>::min() &&
+                        *hi <= std::numeric_limits<std::int16_t>::max(),
+                    "bottom-row score outside i16 range");
+  }
+  return {row.begin(), row.end()};
+}
+
+/// Advisory owner of row r among the workers still alive (possibly the
+/// asking rank). Fault-free this is the static partition 1 + (r % workers);
+/// after a crash the shard re-homes to a surviving rank, which rebuilds the
+/// row on demand.
+int owner_of_alive(const Comm& comm, int r) {
+  std::vector<int> alive;
+  for (int w = 1; w < comm.size(); ++w)
+    if (!comm.closed(w)) alive.push_back(w);
+  if (alive.empty())
+    throw std::runtime_error("cluster: every worker died during a row fetch");
+  return alive[static_cast<std::size_t>(r) % alive.size()];
+}
+
 milliseconds next_backoff(milliseconds current, const FaultToleranceOptions& ft) {
   const auto scaled = static_cast<std::int64_t>(
       static_cast<double>(current.count()) * ft.backoff);
@@ -88,7 +113,7 @@ milliseconds next_backoff(milliseconds current, const FaultToleranceOptions& ft)
 
 /// Master (rank 0): messaging, worker liveness, result dedup and row
 /// fetches around the shared best-first search, plus the acceptance
-/// traceback; in replica mode also the bottom-row archive.
+/// traceback; in replica mode (rows archived) also the bottom-row archive.
 class Master {
  public:
   Master(Comm& comm, const seq::Sequence& s, const seq::Scoring& scoring,
@@ -101,7 +126,8 @@ class Master {
         triangle_(s.length()),
         search_(s.length(), lanes, options.finder),
         workers_(static_cast<std::size_t>(comm.size())) {
-    if (options.row_storage == RowStorage::kMasterReplica)
+    if (options.finder.memory == core::MemoryMode::kArchiveRows &&
+        options.row_storage == RowStorage::kMasterReplica)
       rows_.emplace(s.length());
   }
 
@@ -156,11 +182,6 @@ class Master {
     idle_.push_back(w);
   }
 
-  void drop_from_idle(int w) {
-    const auto it = std::find(idle_.begin(), idle_.end(), w);
-    if (it != idle_.end()) idle_.erase(it);
-  }
-
   /// Undoes an outstanding assignment: the group goes back on the queue and
   /// the in-flight bound is lifted. Safe at any time because group state
   /// only mutates when a matching result is *applied* — a cancelled
@@ -186,7 +207,7 @@ class Master {
           cancel_assignment(w);
           recovery_.bump(recovery_.reassignments);
         }
-        drop_from_idle(w);
+        std::erase(idle_, w);
         rec.state = WState::kDead;
         recovery_.bump(recovery_.workers_lost);
         continue;
@@ -213,60 +234,37 @@ class Master {
     }
   }
 
-  /// Advisory owner of row r among the workers still alive. Fault-free this
-  /// is the static partition 1 + (r % workers); after a crash the shard
-  /// re-homes to a surviving rank, which rebuilds the row on demand.
-  int owner_of_alive(int r) const {
-    std::vector<int> alive;
-    for (int w = 1; w < comm_.size(); ++w)
-      if (!comm_.closed(w)) alive.push_back(w);
-    if (alive.empty())
-      throw std::runtime_error(
-          "cluster: every worker died during a row fetch");
-    return alive[static_cast<std::size_t>(r) % alive.size()];
-  }
-
-  /// Fetches row r from its (current) owner, servicing every other message
+  /// Original bottom row of r for the acceptance traceback: the replica's,
+  /// or fetched from its (current) owner, servicing every other message
   /// normally while blocked — results keep flowing during the master's
   /// fetch, only acceptance is on hold. Times out, backs off, and re-routes
   /// to a surviving owner if the first choice dies mid-request.
-  std::vector<std::int16_t> fetch_row_remote(int r) {
+  std::span<const std::int16_t> original_row(int r) {
+    if (rows_.has_value()) return rows_->row(r);
     auto backoff = milliseconds(options_.ft.row_timeout_ms);
     for (;;) {
-      const int owner = owner_of_alive(r);
+      // handle() files every reply, this one's and strays alike.
+      if (const auto it = fetched_.find(r); it != fetched_.end())
+        return it->second;
+      const int owner = owner_of_alive(comm_, r);
       comm_.send(0, owner, {kRowRequest, {r}});
       const auto deadline = Clock::now() + backoff;
-      for (;;) {
-        const auto now = Clock::now();
-        if (now >= deadline) break;
+      for (auto now = Clock::now(); now < deadline && !fetched_.contains(r);
+           now = Clock::now()) {
         const auto slice =
             std::chrono::duration_cast<milliseconds>(deadline - now);
-        const auto got = poll_recv(std::max(slice, milliseconds(1)));
-        if (!got) continue;
-        const auto& [src, msg] = *got;
-        if (msg.tag == kRowReply) {
-          const int rr = msg.data.at(0);
-          if (rr == r) return row_from_message(msg);
-          fetched_.emplace(rr, row_from_message(msg));  // stray duplicate
-          continue;
-        }
-        handle(src, msg);
+        if (const auto got = poll_recv(std::max(slice, milliseconds(1))))
+          handle(got->first, got->second);
       }
       // Resend only under an active fault plan or a dead owner; a reliable
       // in-process run just keeps waiting (the owner may be computing).
-      if (!comm_.fault_active() && !comm_.closed(owner)) continue;
+      if (fetched_.contains(r) ||
+          (!comm_.fault_active() && !comm_.closed(owner)))
+        continue;
       recovery_.bump(recovery_.retries);
       backoff = next_backoff(backoff, options_.ft);
       sweep();  // fold in the owner's death before re-routing
     }
-  }
-
-  /// Original bottom row of r for the acceptance traceback.
-  std::span<const std::int16_t> original_row(int r) {
-    if (rows_.has_value()) return rows_->row(r);
-    const auto it = fetched_.find(r);
-    if (it != fetched_.end()) return it->second;
-    return fetched_.emplace(r, fetch_row_remote(r)).first->second;
   }
 
   /// Accepts as long as the search's rule allows; returns true when the
@@ -287,8 +285,9 @@ class Master {
 
       const core::Head head = search_.take_head();
       util::WallTimer traceback_timer;
-      core::TopAlignment top = core::accept_alignment(
-          s_, scoring_, triangle_, original, head.r, head.score);
+      core::TopAlignment top =
+          core::accept_alignment(s_, scoring_, triangle_, original, head.r,
+                                 head.score, options_.finder.traceback);
       search_.stats().traceback_seconds += traceback_timer.seconds();
       // Broadcast the triangle growth before any assign can reference the
       // new version (per-channel FIFO makes the ordering safe; a worker
@@ -333,15 +332,15 @@ class Master {
         break;
       case kRowRequest: {
         REPRO_CHECK_MSG(rows_.has_value(),
-                        "row request reached the master in partitioned mode");
+                        "row request reached a master without a row replica");
         const int r = msg.data.at(0);
         comm_.send(0, src, make_row_message(kRowReply, r, rows_->row(r)));
         ++replicas_served_;
         break;
       }
       case kRowReply:
-        // A reply that outlived its fetch loop (resent request answered
-        // twice). Cache it — row data never changes once computed.
+        // Row data never changes once computed, so a reply that outlived
+        // its fetch (a resent request answered twice) is kept too.
         fetched_.emplace(msg.data.at(0), row_from_message(msg));
         break;
       case kResult:
@@ -406,26 +405,22 @@ class Master {
     rec.job.reset();
     REPRO_CHECK(search_.group(sweep.group).count == count);
 
-    std::vector<align::Score> scores(static_cast<std::size_t>(count));
-    for (int k = 0; k < count; ++k)
-      scores[static_cast<std::size_t>(k)] =
-          msg.data.at(3 + static_cast<std::size_t>(k));
+    const std::span<const align::Score> data(msg.data);
     std::size_t cursor = 3 + static_cast<std::size_t>(count);
     if (v == 0 && rows_.has_value()) {
       // Replica mode: a first alignment's worker appends its bottom rows for
       // archival. (Partitioned mode: the worker already routed each row to
-      // its owner; cross-rank deposits are tallied at the sending side.)
+      // its owner; cross-rank deposits are tallied at the sending side.
+      // Low-memory mode keeps no rows.)
       for (int r = r0; r < r0 + count; ++r) {
         const auto len = static_cast<std::size_t>(s_.length() - r);
-        std::vector<align::Score> row(
-            msg.data.begin() + static_cast<std::ptrdiff_t>(cursor),
-            msg.data.begin() + static_cast<std::ptrdiff_t>(cursor + len));
+        REPRO_CHECK(cursor + len <= data.size());
+        rows_->store(r, data.subspan(cursor, len));
         cursor += len;
-        rows_->store(r, row);
       }
     }
-    REPRO_CHECK(cursor == msg.data.size());
-    search_.commit_sweep(sweep, scores);
+    REPRO_CHECK(cursor == data.size());
+    search_.commit_sweep(sweep, data.subspan(3, static_cast<std::size_t>(count)));
     mark_idle(src);
   }
 
@@ -436,7 +431,7 @@ class Master {
   RecoveryStats& recovery_;
   align::OverrideTriangle triangle_;
   std::optional<align::BottomRowStore> rows_;  // replica mode only
-  std::unordered_map<int, std::vector<std::int16_t>> fetched_;  // partitioned
+  std::unordered_map<int, std::vector<std::int16_t>> fetched_;  // otherwise
   core::BestFirstSearch search_;
   std::vector<WorkerRec> workers_;  // indexed by rank; [0] unused
   std::vector<int> idle_;
@@ -449,9 +444,12 @@ class Master {
 /// needed; the search already completed.
 struct ShutdownSignal {};
 
-/// Worker rank: private engine, replicated triangle, cached original rows;
-/// under partitioned storage also an owner of row shards — though under
-/// faults ownership is advisory: any worker rebuilds any v0 row on demand.
+/// Worker rank: private engine and group sweep, replicated triangle, cached
+/// original rows; under partitioned storage also an owner of row shards —
+/// though under faults ownership is advisory: any worker rebuilds any v0 row
+/// on demand. In low-memory mode it keeps no rows: each realignment sweeps
+/// its originals alongside, and the rows the master asks for to accept a
+/// head are rebuilt.
 class Worker {
  public:
   Worker(Comm& comm, int rank, const seq::Sequence& s,
@@ -459,11 +457,9 @@ class Worker {
          align::Engine& engine, RecoveryStats& recovery)
       : comm_(comm),
         rank_(rank),
-        s_(s),
-        scoring_(scoring),
         options_(options),
         recovery_(recovery),
-        engine_(engine),
+        sweep_(s, scoring, engine, /*checkpoints_per_sweep=*/0),
         triangle_(s.length()) {}
 
   void run() {
@@ -478,32 +474,22 @@ class Worker {
           handle_assign(assign);
           continue;
         }
-        const auto got =
-            comm_.recv_any_for(rank_, milliseconds(options_.ft.poll_ms));
-        if (!got) {
-          if (comm_.closed(0)) return;  // master gone (e.g. shutdown dropped)
-          // Re-hello until the master provably knows us (first assign):
-          // the initial hello may have been dropped by the fault plan.
-          if (comm_.fault_active() && !registered_ &&
-              Clock::now() >= next_hello) {
-            comm_.send(rank_, 0, {kReqWork, {}});
-            recovery_.bump(recovery_.retries);
-            hello_backoff = next_backoff(hello_backoff, options_.ft);
-            next_hello = Clock::now() + hello_backoff;
-          }
+        if (serve_until(Clock::now() + milliseconds(options_.ft.poll_ms),
+                        [this] { return !pending_assigns_.empty(); }))
           continue;
-        }
-        const auto& [src, msg] = *got;
-        if (msg.tag == kShutdown) return;
-        if (msg.tag == kAssign) {
-          registered_ = true;
-          handle_assign(msg);
-        } else {
-          dispatch(src, msg);
+        if (comm_.closed(0)) return;  // master gone (e.g. shutdown dropped)
+        // Re-hello until the master provably knows us (first assign): the
+        // initial hello may have been dropped by the fault plan.
+        if (comm_.fault_active() && !registered_ &&
+            Clock::now() >= next_hello) {
+          comm_.send(rank_, 0, {kReqWork, {}});
+          recovery_.bump(recovery_.retries);
+          hello_backoff = next_backoff(hello_backoff, options_.ft);
+          next_hello = Clock::now() + hello_backoff;
         }
       }
     } catch (const ShutdownSignal&) {
-      // master completed the search mid-task
+      // the master shut the run down, possibly mid-task
     } catch (const ChannelClosed&) {
       // every peer is gone; nothing left to do
     }
@@ -512,6 +498,10 @@ class Worker {
  private:
   bool partitioned() const {
     return options_.row_storage == RowStorage::kPartitioned;
+  }
+
+  bool low_memory() const {
+    return options_.finder.memory == core::MemoryMode::kRecomputeRows;
   }
 
   /// Handles any message that can arrive while blocked in a nested wait
@@ -528,8 +518,7 @@ class Worker {
       case kRowDeposit:
         owned_rows_.emplace(msg.data.at(0), row_from_message(msg));
         break;
-      case kRowReply:
-        // Outlived its fetch loop (a resent request answered twice).
+      case kRowReply:  // to original_row's request, or a resend's late twin
         row_cache_.emplace(msg.data.at(0), row_from_message(msg));
         break;
       case kSyncReply:
@@ -549,147 +538,108 @@ class Worker {
   /// gap (new_version > ours + 1) means an update was lost — both are
   /// ignored here, and the next assign triggers an explicit resync.
   void apply_update(const Message& msg) {
-    const int new_version = msg.data.at(0);
-    if (new_version != version_ + 1) return;
-    const int npairs = msg.data.at(1);
-    for (int p = 0; p < npairs; ++p)
-      triangle_.set(msg.data.at(2 + 2 * static_cast<std::size_t>(p)),
-                    msg.data.at(3 + 2 * static_cast<std::size_t>(p)));
-    version_ = new_version;
+    if (msg.data.at(0) == version_ + 1) apply_pairs(msg);
   }
 
   /// Cumulative sync reply: all pairs of versions 1..target. Idempotent
   /// (triangle bits are monotone), so duplicates and overlaps are safe.
   void apply_sync(const Message& msg) {
-    const int to_version = msg.data.at(0);
-    if (to_version <= version_) return;  // duplicate or superseded reply
+    if (msg.data.at(0) > version_) apply_pairs(msg);
+  }
+
+  /// Marks [version, npairs, i0, j0, ...]'s pairs and moves to its version.
+  void apply_pairs(const Message& msg) {
     const int npairs = msg.data.at(1);
-    REPRO_DCHECK(msg.data.size() ==
-                 2 + 2 * static_cast<std::size_t>(npairs));
+    REPRO_DCHECK(msg.data.size() == 2 + 2 * static_cast<std::size_t>(npairs));
     for (int p = 0; p < npairs; ++p)
       triangle_.set(msg.data.at(2 + 2 * static_cast<std::size_t>(p)),
                     msg.data.at(3 + 2 * static_cast<std::size_t>(p)));
-    version_ = to_version;
+    version_ = msg.data.at(0);
+  }
+
+  /// Services messages until `done()` holds or `deadline` passes, and
+  /// returns done(). Assigns are stashed (the current compute must finish
+  /// first), a shutdown ends the task, and everything else is dispatched —
+  /// peer row requests and deposits included, otherwise two waiting owners
+  /// would deadlock.
+  template <class Done>
+  bool serve_until(Clock::time_point deadline, Done done) {
+    while (!done() && Clock::now() < deadline) {
+      const auto got =
+          comm_.recv_any_for(rank_, milliseconds(options_.ft.poll_ms));
+      if (!got) continue;
+      const auto& [src, msg] = *got;
+      if (msg.tag == kShutdown) throw ShutdownSignal{};
+      if (msg.tag == kAssign)
+        pending_assigns_.push_back(msg);
+      else
+        dispatch(src, msg);
+    }
+    return done();
   }
 
   /// Blocks until the replica reaches `target`, requesting cumulative sync
   /// state from the master with timeout + exponential backoff.
   void sync_to(int target) {
     recovery_.bump(recovery_.sync_requests);
-    comm_.send(rank_, 0, {kSyncRequest, {target}});
-    auto backoff = milliseconds(options_.ft.row_timeout_ms);
-    auto deadline = Clock::now() + backoff;
-    while (version_ < target) {
-      const auto got =
-          comm_.recv_any_for(rank_, milliseconds(options_.ft.poll_ms));
-      if (got) {
-        const auto& [src, msg] = *got;
-        if (msg.tag == kShutdown) throw ShutdownSignal{};
-        if (msg.tag == kAssign) {
-          pending_assigns_.push_back(msg);
-          continue;
-        }
-        dispatch(src, msg);  // kSyncReply and kUpdate both advance version_
-        continue;
-      }
-      if (Clock::now() < deadline) continue;
-      if (comm_.closed(0)) throw ShutdownSignal{};
+    for (auto backoff = milliseconds(options_.ft.row_timeout_ms);;
+         backoff = next_backoff(backoff, options_.ft)) {
       comm_.send(rank_, 0, {kSyncRequest, {target}});
+      // kSyncReply and kUpdate both advance version_.
+      if (serve_until(Clock::now() + backoff,
+                      [&] { return version_ >= target; }))
+        return;
+      if (comm_.closed(0)) throw ShutdownSignal{};
       recovery_.bump(recovery_.retries);
-      backoff = next_backoff(backoff, options_.ft);
-      deadline = Clock::now() + backoff;
     }
   }
 
-  /// Advisory owner of row r among live workers (possibly this rank).
-  int owner_of_alive(int r) const {
-    std::vector<int> alive;
-    for (int w = 1; w < comm_.size(); ++w)
-      if (!comm_.closed(w)) alive.push_back(w);
-    REPRO_DCHECK(!alive.empty());  // we are alive and a worker
-    return alive[static_cast<std::size_t>(r) % alive.size()];
-  }
-
   /// Deterministically recomputes the v0 bottom row of r from scratch (a
-  /// single-row group job with no overrides — exactly how it was first
+  /// single-row sweep with no overrides — exactly how it was first
   /// produced). This is what makes partitioned ownership advisory: a lost
-  /// deposit or a dead owner costs one recompute, never the run.
+  /// deposit or a dead owner costs one recompute, never the run. A rebuild
+  /// can run nested inside handle_assign (while it waits on a row fetch);
+  /// it sweeps the plain rows, not the assign's.
   const std::vector<std::int16_t>& rebuild_row(int r) {
     const auto it = owned_rows_.find(r);
     if (it != owned_rows_.end()) return it->second;
     recovery_.bump(recovery_.row_rebuilds);
-    align::GroupJob job;
-    job.seq = s_.codes();
-    job.scoring = &scoring_;
-    job.overrides = nullptr;
-    job.r0 = r;
-    job.count = 1;
-    // Local buffer: a rebuild can run nested inside handle_assign (while it
-    // waits on a row fetch), which is still using out_rows_.
-    std::vector<align::Score> row(static_cast<std::size_t>(s_.length() - r));
-    std::vector<std::span<align::Score>> outs{row};
-    engine_.align(job, outs);
-    std::vector<std::int16_t> narrow(row.size());
-    for (std::size_t x = 0; x < row.size(); ++x)
-      narrow[x] = static_cast<std::int16_t>(row[x]);
-    return owned_rows_.emplace(r, std::move(narrow)).first->second;
+    return owned_rows_.emplace(r, narrow(sweep_.recompute_original(r, 1, 0)))
+        .first->second;
   }
 
   void serve_row(int src, int r) {
-    REPRO_CHECK_MSG(partitioned(), "replica mode has no worker-owned rows");
-    const auto owned = owned_rows_.find(r);
-    if (owned != owned_rows_.end()) {
-      comm_.send(rank_, src, make_row_message(kRowReply, r, owned->second));
-      return;
-    }
+    REPRO_CHECK_MSG(partitioned() || low_memory(),
+                    "replica mode has no worker-owned rows");
     const auto cached = row_cache_.find(r);
-    if (cached != row_cache_.end()) {
-      comm_.send(rank_, src, make_row_message(kRowReply, r, cached->second));
-      return;
-    }
-    comm_.send(rank_, src, make_row_message(kRowReply, r, rebuild_row(r)));
+    comm_.send(rank_, src,
+               make_row_message(kRowReply, r,
+                                cached != row_cache_.end() ? cached->second
+                                                           : rebuild_row(r)));
   }
 
   /// Original bottom row of r, from the local cache, own partition, or the
-  /// row's owner (master in replica mode, a live peer in partitioned mode).
-  /// While blocked on the reply the worker keeps servicing peer requests
-  /// and deposits — otherwise two waiting owners would deadlock — and
-  /// resends with backoff, re-routing around a dead owner.
+  /// row's owner (master in replica mode, a live peer in partitioned mode),
+  /// resending with backoff and re-routing around a dead owner.
   const std::vector<std::int16_t>& original_row(int r) {
-    if (const auto it = row_cache_.find(r); it != row_cache_.end())
-      return it->second;
     if (partitioned()) {
       if (const auto it = owned_rows_.find(r); it != owned_rows_.end())
         return it->second;
     }
+    const auto cached = [&] { return row_cache_.contains(r); };
     auto backoff = milliseconds(options_.ft.row_timeout_ms);
-    for (;;) {
-      const int owner = partitioned() ? owner_of_alive(r) : 0;
+    while (!cached()) {
+      const int owner = partitioned() ? owner_of_alive(comm_, r) : 0;
       if (owner == rank_) return rebuild_row(r);  // shard re-homed to us
       comm_.send(rank_, owner, {kRowRequest, {r}});
-      const auto deadline = Clock::now() + backoff;
-      for (;;) {
-        if (Clock::now() >= deadline) break;
-        const auto got =
-            comm_.recv_any_for(rank_, milliseconds(options_.ft.poll_ms));
-        if (!got) continue;
-        const auto& [src, msg] = *got;
-        if (msg.tag == kRowReply && msg.data.at(0) == r)
-          return row_cache_.emplace(r, row_from_message(msg)).first->second;
-        if (msg.tag == kShutdown) throw ShutdownSignal{};
-        if (msg.tag == kAssign) {
-          // The master may have optimistically requeued our task; finish
-          // the current compute first, then take the new assignment.
-          pending_assigns_.push_back(msg);
-          continue;
-        }
-        dispatch(src, msg);
-      }
+      // dispatch() caches the reply.
+      if (serve_until(Clock::now() + backoff, cached)) break;
       if (!comm_.fault_active() && !comm_.closed(owner)) continue;
       if (comm_.closed(0)) throw ShutdownSignal{};
       recovery_.bump(recovery_.retries);
       backoff = next_backoff(backoff, options_.ft);
     }
+    return row_cache_.at(r);
   }
 
   void handle_assign(const Message& assign) {
@@ -708,79 +658,61 @@ class Worker {
       comm_.send(rank_, 0, {kReject, {r0, v}});
       return;
     }
-    const int m = s_.length();
-
-    align::GroupJob job;
-    job.seq = s_.codes();
-    job.scoring = &scoring_;
-    job.overrides = v == 0 ? nullptr : &triangle_;
-    job.r0 = r0;
-    job.count = count;
-    out_rows_.resize(static_cast<std::size_t>(count));
-    std::vector<std::span<align::Score>> outs(static_cast<std::size_t>(count));
-    for (int k = 0; k < count; ++k) {
-      out_rows_[static_cast<std::size_t>(k)].resize(
-          static_cast<std::size_t>(m - (r0 + k)));
-      outs[static_cast<std::size_t>(k)] = out_rows_[static_cast<std::size_t>(k)];
-    }
-    engine_.align(job, outs);
-
-    Message result;
-    result.tag = kResult;
-    result.data = {r0, count, v};
-    for (int k = 0; k < count; ++k) {
-      const int r = r0 + k;
-      const auto& row = out_rows_[static_cast<std::size_t>(k)];
-      align::Score score;
-      if (v == 0) {
-        score = align::find_best_end(row).score;
-        std::vector<std::int16_t> narrow(row.size());
-        for (std::size_t x = 0; x < row.size(); ++x)
-          narrow[x] = static_cast<std::int16_t>(row[x]);
-        if (partitioned()) {
-          // Route the row to its owner (in-process sends are causally
-          // ordered before our result reaches the master, so the deposit is
-          // always in the owner's mailbox before any consumer's request —
-          // and if the fault plan drops it, the owner rebuilds on demand).
-          const int owner = owner_of_alive(r);
-          if (owner == rank_) {
-            owned_rows_.emplace(r, std::move(narrow));
-          } else {
-            comm_.send(rank_, owner, make_row_message(kRowDeposit, r, narrow));
-            recovery_.bump(recovery_.deposits);
-            row_cache_.emplace(r, std::move(narrow));  // keep our own copy
-          }
-        } else {
-          // Replica mode: cache locally; the archive copy rides the result.
-          row_cache_.emplace(r, std::move(narrow));
-        }
-      } else {
-        score = align::find_best_end(row, original_row(r)).score;
+    // Low-memory mode sweeps the originals alongside (first alignments
+    // keep nothing); otherwise v0 rows are kept and later ones fetched.
+    sweep_.sweep(r0, count, v == 0 ? nullptr : &triangle_,
+                 /*paired_plain=*/low_memory() && v > 0);
+    Message result{kResult, {r0, count, v}};
+    if (v == 0 && !low_memory())
+      for (int k = 0; k < count; ++k) keep_first_row(r0 + k, sweep_.row(k));
+    const std::span<const align::Score> scores =
+        v > 0 && !low_memory()
+            ? sweep_.scores([this](int r) {
+                return std::span<const std::int16_t>(original_row(r));
+              })
+            : sweep_.scores();
+    result.data.insert(result.data.end(), scores.begin(), scores.end());
+    if (v == 0 && !low_memory() && !partitioned()) {
+      // Replica mode: the archive copy rides the result.
+      for (int k = 0; k < count; ++k) {
+        const std::span<const align::Score> row = sweep_.row(k);
+        result.data.insert(result.data.end(), row.begin(), row.end());
       }
-      result.data.push_back(score);
-    }
-    if (v == 0 && !partitioned()) {
-      for (int k = 0; k < count; ++k)
-        for (align::Score x : out_rows_[static_cast<std::size_t>(k)])
-          result.data.push_back(x);
     }
     comm_.send(rank_, 0, std::move(result));
   }
 
+  /// Keeps first-alignment row r: routed to its owner under partitioned
+  /// storage, cached locally in any case.
+  void keep_first_row(int r, std::span<const align::Score> row) {
+    std::vector<std::int16_t> narrowed = narrow(row);
+    const int owner = partitioned() ? owner_of_alive(comm_, r) : 0;
+    if (owner == rank_) {
+      owned_rows_.emplace(r, std::move(narrowed));
+      return;
+    }
+    if (partitioned()) {
+      // In-process sends are causally ordered before our result reaches
+      // the master, so the deposit is always in the owner's mailbox before
+      // any consumer's request — and if the fault plan drops it, the owner
+      // rebuilds on demand.
+      comm_.send(rank_, owner, make_row_message(kRowDeposit, r, narrowed));
+      recovery_.bump(recovery_.deposits);
+    }
+    row_cache_.emplace(r, std::move(narrowed));
+  }
+
   Comm& comm_;
   int rank_;
-  const seq::Sequence& s_;
-  const seq::Scoring& scoring_;
   const ClusterOptions& options_;
   RecoveryStats& recovery_;
-  align::Engine& engine_;
+  core::GroupSweep sweep_;
   align::OverrideTriangle triangle_;
   int version_ = 0;
   bool registered_ = false;  ///< the master has provably seen our hello
   std::deque<Message> pending_assigns_;
   std::unordered_map<int, std::vector<std::int16_t>> row_cache_;
   std::unordered_map<int, std::vector<std::int16_t>> owned_rows_;
-  std::vector<std::vector<align::Score>> out_rows_;
 };
 
 }  // namespace
@@ -792,14 +724,6 @@ core::FinderResult find_top_alignments_cluster(const seq::Sequence& s,
                                                ClusterRunInfo* info) {
   REPRO_CHECK(options.ranks >= 1);
   REPRO_CHECK(options.finder.min_score >= 1);
-  REPRO_CHECK_MSG(options.finder.memory == core::MemoryMode::kArchiveRows,
-                  "the distributed finder keeps bottom rows via RowStorage "
-                  "and cannot recompute them (low-memory mode); run it on "
-                  "the shared-memory finder instead (--threads N)");
-  REPRO_CHECK_MSG(options.finder.traceback == core::TracebackMode::kFullMatrix,
-                  "the distributed master uses the full-matrix traceback; "
-                  "for the linear-space traceback use the shared-memory "
-                  "finder instead (--threads N)");
   const auto crashed = options.fault_plan.crashed_ranks();
   for (int c : crashed)
     REPRO_CHECK_MSG(c > 0 && c < options.ranks,
@@ -846,56 +770,51 @@ core::FinderResult find_top_alignments_cluster(const seq::Sequence& s,
   // Publish after the join: stragglers (workers finishing superseded work
   // during shutdown) keep sending — and counting — until their bodies exit.
   for (const core::EngineUsage& u : usage) u.add_to(result.stats);
-  const FaultStats faults = comm.fault_stats();
   const auto load = [](const std::atomic<std::uint64_t>& c) {
     return c.load(std::memory_order_relaxed);
   };
-  if (info != nullptr) {
-    info->messages = comm.messages_sent();
-    info->payload_words = comm.words_sent();
-    info->row_replicas_served = master.replicas_served();
-    info->row_deposits = load(recovery.deposits);
-    info->messages_by_rank.resize(static_cast<std::size_t>(comm.size()));
-    info->payload_words_by_rank.resize(static_cast<std::size_t>(comm.size()));
-    for (int rank = 0; rank < comm.size(); ++rank) {
-      info->messages_by_rank[static_cast<std::size_t>(rank)] =
-          comm.messages_sent_from(rank);
-      info->payload_words_by_rank[static_cast<std::size_t>(rank)] =
-          comm.words_sent_from(rank);
-    }
-    info->faults_injected = faults.injected();
-    info->retries = load(recovery.retries);
-    info->reassignments = load(recovery.reassignments);
-    info->heartbeat_misses = load(recovery.heartbeat_misses);
-    info->stale_results = load(recovery.stale_results);
-    info->row_rebuilds = load(recovery.row_rebuilds);
-    info->sync_requests = load(recovery.sync_requests);
-    info->workers_lost = load(recovery.workers_lost);
-    info->fault_stats = faults;
+  ClusterRunInfo run;
+  run.messages = comm.messages_sent();
+  run.payload_words = comm.words_sent();
+  run.row_replicas_served = master.replicas_served();
+  run.row_deposits = load(recovery.deposits);
+  for (int rank = 0; rank < comm.size(); ++rank) {
+    run.messages_by_rank.push_back(comm.messages_sent_from(rank));
+    run.payload_words_by_rank.push_back(comm.words_sent_from(rank));
   }
+  run.fault_stats = comm.fault_stats();
+  run.faults_injected = run.fault_stats.injected();
+  run.retries = load(recovery.retries);
+  run.reassignments = load(recovery.reassignments);
+  run.heartbeat_misses = load(recovery.heartbeat_misses);
+  run.stale_results = load(recovery.stale_results);
+  run.row_rebuilds = load(recovery.row_rebuilds);
+  run.sync_requests = load(recovery.sync_requests);
+  run.workers_lost = load(recovery.workers_lost);
   if constexpr (obs::kEnabled) {
     auto& reg = obs::Registry::global();
-    reg.counter("cluster.messages").add(comm.messages_sent());
-    reg.counter("cluster.payload_words").add(comm.words_sent());
-    reg.counter("cluster.row_replicas_served").add(master.replicas_served());
-    reg.counter("cluster.row_deposits").add(load(recovery.deposits));
+    reg.counter("cluster.messages").add(run.messages);
+    reg.counter("cluster.payload_words").add(run.payload_words);
+    reg.counter("cluster.row_replicas_served").add(run.row_replicas_served);
+    reg.counter("cluster.row_deposits").add(run.row_deposits);
     reg.counter("cluster.ranks").add(static_cast<std::uint64_t>(comm.size()));
-    reg.counter("cluster.faults_injected").add(faults.injected());
-    reg.counter("cluster.retries").add(load(recovery.retries));
-    reg.counter("cluster.reassignments").add(load(recovery.reassignments));
-    reg.counter("cluster.heartbeat_misses").add(load(recovery.heartbeat_misses));
-    reg.counter("cluster.stale_results").add(load(recovery.stale_results));
-    reg.counter("cluster.row_rebuilds").add(load(recovery.row_rebuilds));
-    reg.counter("cluster.sync_requests").add(load(recovery.sync_requests));
-    reg.counter("cluster.workers_lost").add(load(recovery.workers_lost));
+    reg.counter("cluster.faults_injected").add(run.faults_injected);
+    reg.counter("cluster.retries").add(run.retries);
+    reg.counter("cluster.reassignments").add(run.reassignments);
+    reg.counter("cluster.heartbeat_misses").add(run.heartbeat_misses);
+    reg.counter("cluster.stale_results").add(run.stale_results);
+    reg.counter("cluster.row_rebuilds").add(run.row_rebuilds);
+    reg.counter("cluster.sync_requests").add(run.sync_requests);
+    reg.counter("cluster.workers_lost").add(run.workers_lost);
     for (int rank = 0; rank < comm.size(); ++rank) {
       const std::string suffix = ".rank" + std::to_string(rank);
-      reg.counter("cluster.messages" + suffix)
-          .add(comm.messages_sent_from(rank));
+      const auto k = static_cast<std::size_t>(rank);
+      reg.counter("cluster.messages" + suffix).add(run.messages_by_rank[k]);
       reg.counter("cluster.payload_words" + suffix)
-          .add(comm.words_sent_from(rank));
+          .add(run.payload_words_by_rank[k]);
     }
   }
+  if (info != nullptr) *info = std::move(run);
   core::publish_finder_stats(result.stats, s.length(), "cluster.");
   return result;
 }

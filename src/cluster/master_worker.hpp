@@ -11,12 +11,15 @@
 // RescanPolicy — so the accepted top alignments are identical for every rank
 // count, and identical to the sequential algorithm's.
 //
-// The finder archives every bottom row (RowStorage) and traces back over the
-// full matrix: MemoryMode::kRecomputeRows and TracebackMode::kLinearSpace
-// are rejected (the shared-memory finder runs both). With ranks > 1 it
-// keeps no checkpoint cache, so FinderOptions::checkpoint_mem has no
-// effect. FinderStats::cells and the precision counters are the worker
-// engines' own tallies, including superseded and rebuilt sweeps.
+// Workers sweep groups with core::GroupSweep, as the shared-memory finder's
+// threads do, so every memory and traceback mode works here. Under
+// MemoryMode::kRecomputeRows no rank keeps rows (RowStorage has no effect):
+// workers sweep each realigned group's originals alongside, and the master
+// fetches an accepted head's original from a worker, which rebuilds it.
+// With ranks > 1 the finder keeps no checkpoint cache, so
+// FinderOptions::checkpoint_mem has no effect. FinderStats::cells and the
+// precision counters are the worker engines' own tallies, including
+// superseded and rebuilt sweeps.
 //
 // Unlike the paper's reliable Myrinet deployment, this implementation is
 // fault tolerant. The protocol survives message drops, bounded delays,

@@ -156,56 +156,57 @@ void Comm::send(int from, int to, Message msg) {
   box.cv.notify_all();
 }
 
-Message Comm::recv(int to, int from) {
-  REPRO_CHECK(from >= 0 && from < size() && to >= 0 && to < size());
+template <class Wanted, class Gone>
+std::optional<std::pair<int, Message>> Comm::receive(
+    int to, Wanted wanted, Gone gone, int gone_rank,
+    std::chrono::steady_clock::time_point deadline) {
+  REPRO_CHECK(to >= 0 && to < size());
   Mailbox& box = *boxes_[static_cast<std::size_t>(to)];
   std::unique_lock lock(box.mutex);
   for (;;) {
     flush_held(box);
-    for (auto it = box.queue.begin(); it != box.queue.end(); ++it) {
-      if (it->first == from) {
-        note_op(to);
-        Message msg = std::move(it->second);
-        box.queue.erase(it);
-        return msg;
-      }
+    const auto it = std::find_if(box.queue.begin(), box.queue.end(), wanted);
+    if (it != box.queue.end()) {
+      note_op(to);
+      auto got = std::move(*it);
+      box.queue.erase(it);
+      return got;
     }
-    if (closed_[static_cast<std::size_t>(from)].load(std::memory_order_acquire) &&
-        box.held[static_cast<std::size_t>(from)].empty())
-      throw ChannelClosed(from);
+    if (gone(box)) throw ChannelClosed(gone_rank);
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= deadline) return std::nullopt;
     if (has_delays_) {
-      box.cv.wait_for(lock, kTickQuantum);
+      box.cv.wait_for(lock, std::min<std::chrono::steady_clock::duration>(
+                                kTickQuantum, deadline - now));
       tick_.fetch_add(1, std::memory_order_relaxed);
-    } else {
+    } else if (deadline == kForever) {
       box.cv.wait(lock);
+    } else {
+      box.cv.wait_until(lock, deadline);
     }
   }
 }
 
+Message Comm::recv(int to, int from) {
+  return recv_from(to, from, std::nullopt);
+}
+
 Message Comm::recv_tagged(int to, int from, int tag) {
-  REPRO_CHECK(from >= 0 && from < size() && to >= 0 && to < size());
-  Mailbox& box = *boxes_[static_cast<std::size_t>(to)];
-  std::unique_lock lock(box.mutex);
-  for (;;) {
-    flush_held(box);
-    for (auto it = box.queue.begin(); it != box.queue.end(); ++it) {
-      if (it->first == from && it->second.tag == tag) {
-        note_op(to);
-        Message msg = std::move(it->second);
-        box.queue.erase(it);
-        return msg;
-      }
-    }
-    if (closed_[static_cast<std::size_t>(from)].load(std::memory_order_acquire) &&
-        box.held[static_cast<std::size_t>(from)].empty())
-      throw ChannelClosed(from);
-    if (has_delays_) {
-      box.cv.wait_for(lock, kTickQuantum);
-      tick_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      box.cv.wait(lock);
-    }
-  }
+  return recv_from(to, from, tag);
+}
+
+Message Comm::recv_from(int to, int from, std::optional<int> tag) {
+  REPRO_CHECK(from >= 0 && from < size());
+  const auto wanted = [from, tag](const std::pair<int, Message>& q) {
+    return q.first == from && (!tag || q.second.tag == *tag);
+  };
+  // The channel is gone once its sender closed and nothing it sent is held.
+  const auto gone = [this, from](const Mailbox& box) {
+    return closed_[static_cast<std::size_t>(from)].load(
+               std::memory_order_acquire) &&
+           box.held[static_cast<std::size_t>(from)].empty();
+  };
+  return receive(to, wanted, gone, from, kForever)->second;
 }
 
 void Comm::broadcast(int from, const Message& msg) {
@@ -225,59 +226,26 @@ void Comm::barrier(int rank) {
 }
 
 std::pair<int, Message> Comm::recv_any(int to) {
-  REPRO_CHECK(to >= 0 && to < size());
-  Mailbox& box = *boxes_[static_cast<std::size_t>(to)];
-  std::unique_lock lock(box.mutex);
-  for (;;) {
-    flush_held(box);
-    if (!box.queue.empty()) {
-      note_op(to);
-      auto front = std::move(box.queue.front());
-      box.queue.pop_front();
-      return front;
-    }
-    bool any_held = false;
-    for (const auto& channel : box.held) any_held |= !channel.empty();
-    if (!any_held && closed_count_.load(std::memory_order_acquire) >=
-                         size() - (closed(to) ? 0 : 1))
-      throw ChannelClosed(to);  // every peer is gone; nothing can arrive
-    if (has_delays_) {
-      box.cv.wait_for(lock, kTickQuantum);
-      tick_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      box.cv.wait(lock);
-    }
-  }
+  return *recv_any_until(to, kForever);
 }
 
 std::optional<std::pair<int, Message>> Comm::recv_any_for(
     int to, std::chrono::milliseconds timeout) {
-  REPRO_CHECK(to >= 0 && to < size());
-  Mailbox& box = *boxes_[static_cast<std::size_t>(to)];
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  std::unique_lock lock(box.mutex);
-  for (;;) {
-    flush_held(box);
-    if (!box.queue.empty()) {
-      note_op(to);
-      auto front = std::move(box.queue.front());
-      box.queue.pop_front();
-      return front;
-    }
+  return recv_any_until(to, std::chrono::steady_clock::now() + timeout);
+}
+
+std::optional<std::pair<int, Message>> Comm::recv_any_until(
+    int to, std::chrono::steady_clock::time_point deadline) {
+  // Every peer is gone once all have closed and nothing they sent is held.
+  const auto gone = [this, to](const Mailbox& box) {
     bool any_held = false;
     for (const auto& channel : box.held) any_held |= !channel.empty();
-    if (!any_held && closed_count_.load(std::memory_order_acquire) >=
-                         size() - (closed(to) ? 0 : 1))
-      throw ChannelClosed(to);
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return std::nullopt;
-    const auto slice = has_delays_
-                           ? std::min<std::chrono::steady_clock::duration>(
-                                 kTickQuantum, deadline - now)
-                           : deadline - now;
-    box.cv.wait_for(lock, slice);
-    if (has_delays_) tick_.fetch_add(1, std::memory_order_relaxed);
-  }
+    return !any_held && closed_count_.load(std::memory_order_acquire) >=
+                            size() - (closed(to) ? 0 : 1);
+  };
+  return receive(
+      to, [](const std::pair<int, Message>&) { return true; }, gone, to,
+      deadline);
 }
 
 bool Comm::iprobe(int to) {

@@ -167,6 +167,19 @@ class Comm {
     std::atomic<std::uint64_t> words{0};
   };
 
+  static constexpr auto kForever = std::chrono::steady_clock::time_point::max();
+
+  /// The one receive loop: waits on `to`'s mailbox for the first queued
+  /// message `wanted` accepts and returns it with its source; throws
+  /// ChannelClosed(gone_rank) once `gone(box)` says none can arrive, and
+  /// returns nullopt at `deadline`.
+  template <class Wanted, class Gone>
+  std::optional<std::pair<int, Message>> receive(
+      int to, Wanted wanted, Gone gone, int gone_rank,
+      std::chrono::steady_clock::time_point deadline);
+  Message recv_from(int to, int from, std::optional<int> tag);
+  std::optional<std::pair<int, Message>> recv_any_until(
+      int to, std::chrono::steady_clock::time_point deadline);
   void init_plan();
   /// Scheduled-crash bookkeeping: called on the rank's own thread; throws
   /// RankCrashed when the plan's op count for this rank is reached.

@@ -1,6 +1,5 @@
 #include "cluster/oracle.hpp"
 
-#include "align/traceback.hpp"
 #include "core/top_alignment_finder.hpp"
 #include "util/check.hpp"
 
@@ -11,14 +10,12 @@ AlignmentOracle::AlignmentOracle(const seq::Sequence& s,
                                  align::Engine& engine)
     : s_(s),
       scoring_(scoring),
-      engine_(engine),
+      sweep_(s, scoring, engine, /*checkpoints_per_sweep=*/0),
       triangle_(s.length()),
       rows_(s.length()),
-      layout_(core::make_groups(s.length(), engine.lanes())) {
-  out_rows_.resize(static_cast<std::size_t>(engine.lanes()));
-}
+      layout_(core::make_groups(s.length(), engine.lanes())) {}
 
-int AlignmentOracle::lanes() const { return engine_.lanes(); }
+int AlignmentOracle::lanes() const { return sweep_.engine().lanes(); }
 
 void AlignmentOracle::begin_run() {
   triangle_.clear();
@@ -35,35 +32,19 @@ const std::vector<align::Score>& AlignmentOracle::member_scores(
   if (const auto it = cache_.find(key); it != cache_.end()) return it->second;
 
   const core::GroupTask& g = layout_[static_cast<std::size_t>(gi)];
-  const int m = s_.length();
-  align::GroupJob job;
-  job.seq = s_.codes();
-  job.scoring = &scoring_;
-  job.overrides = version_ == 0 ? nullptr : &triangle_;
-  job.r0 = g.r0;
-  job.count = g.count;
-  std::vector<std::span<align::Score>> outs(static_cast<std::size_t>(g.count));
-  for (int k = 0; k < g.count; ++k) {
-    out_rows_[static_cast<std::size_t>(k)].resize(
-        static_cast<std::size_t>(m - (g.r0 + k)));
-    outs[static_cast<std::size_t>(k)] = out_rows_[static_cast<std::size_t>(k)];
-  }
-  engine_.align(job, outs);
+  sweep_.sweep(g.r0, g.count, version_ == 0 ? nullptr : &triangle_,
+               /*paired_plain=*/false);
   ++computed_;
-
-  std::vector<align::Score> scores(static_cast<std::size_t>(g.count));
-  for (int k = 0; k < g.count; ++k) {
-    const int r = g.r0 + k;
-    const auto& row = out_rows_[static_cast<std::size_t>(k)];
-    if (version_ == 0) {
-      if (!rows_.computed(r)) rows_.store(r, row);
-      scores[static_cast<std::size_t>(k)] = align::find_best_end(row).score;
-    } else {
-      scores[static_cast<std::size_t>(k)] =
-          align::find_best_end(row, rows_.row(r)).score;
-    }
+  if (version_ == 0) {
+    for (int k = 0; k < g.count; ++k)
+      if (!rows_.computed(g.r0 + k)) rows_.store(g.r0 + k, sweep_.row(k));
   }
-  return cache_.emplace(key, std::move(scores)).first->second;
+  const std::span<const align::Score> scores =
+      version_ == 0 ? sweep_.scores()
+                    : sweep_.scores([this](int r) { return rows_.row(r); });
+  return cache_.emplace(key, std::vector<align::Score>(scores.begin(),
+                                                       scores.end()))
+      .first->second;
 }
 
 const core::TopAlignment& AlignmentOracle::accept(int r, align::Score expected) {

@@ -26,6 +26,7 @@
 #include "align/bottom_row_store.hpp"
 #include "align/engine.hpp"
 #include "align/override_triangle.hpp"
+#include "core/group_sweep.hpp"
 #include "core/options.hpp"
 #include "core/task_queue.hpp"
 #include "seq/scoring.hpp"
@@ -66,7 +67,7 @@ class AlignmentOracle {
  private:
   const seq::Sequence& s_;
   const seq::Scoring& scoring_;
-  align::Engine& engine_;
+  core::GroupSweep sweep_;
   align::OverrideTriangle triangle_;
   align::BottomRowStore rows_;
   std::vector<core::GroupTask> layout_;  // geometry only (r0, count)
@@ -74,7 +75,6 @@ class AlignmentOracle {
   std::map<std::pair<int, int>, std::vector<align::Score>> cache_;
   std::vector<core::TopAlignment> accepted_;
   std::uint64_t computed_ = 0;
-  std::vector<std::vector<align::Score>> out_rows_;
 };
 
 }  // namespace repro::cluster

@@ -15,6 +15,7 @@
 #include "align/checkpoint_cache.hpp"
 #include "align/linear_traceback.hpp"
 #include "align/traceback.hpp"
+#include "core/group_sweep.hpp"
 #include "core/task_queue.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
@@ -23,56 +24,15 @@
 namespace repro::core {
 namespace {
 
-/// The shared acceptance step: traces rectangle r back under `triangle`
-/// (full-matrix or linear-space), verifies the traced score equals the
-/// queued `expected`, marks the alignment's pairs and returns it.
-template <typename T>
-TopAlignment accept_with_row(const seq::Sequence& s, const seq::Scoring& scoring,
-                             align::OverrideTriangle& triangle,
-                             std::span<const T> original_row, int r,
-                             align::Score expected, TracebackMode mode) {
-  align::GroupJob job;
-  job.seq = s.codes();
-  job.scoring = &scoring;
-  job.overrides = &triangle;
-  job.r0 = r;
-  job.count = 1;
-  align::Traceback tb = mode == TracebackMode::kLinearSpace
-                            ? align::traceback_best_linear(job, original_row)
-                            : align::traceback_best(job, original_row);
-  REPRO_CHECK_MSG(tb.score == expected,
-                  "acceptance score mismatch at r=" << r << ": queued "
-                                                    << expected << ", traced "
-                                                    << tb.score);
-  for (const auto& [i, j] : tb.pairs) triangle.set(i, j);
-  TopAlignment top;
-  top.r = r;
-  top.score = tb.score;
-  top.end_x = tb.end_x;
-  top.pairs = std::move(tb.pairs);
-  return top;
-}
-
-/// One worker's private state. Sinks, resume copies (the shared cache copies
-/// a resume row here under the run lock, so the sweep reads it unlocked),
-/// views and output rows are hoisted here so steady-state realignments
-/// allocate nothing; the `plain_` ones serve the empty-triangle sweeps of
-/// MemoryMode::kRecomputeRows.
+/// One worker's private state: its group sweep (engine, output rows,
+/// checkpoint sinks and resume copies) and its idle time.
 struct Worker {
-  explicit Worker(align::Engine& e) : engine(e), usage(e) {}
+  Worker(const seq::Sequence& s, const seq::Scoring& scoring, align::Engine& e,
+         int checkpoints_per_sweep)
+      : sweep(s, scoring, e, checkpoints_per_sweep), usage(e) {}
 
-  align::Engine& engine;
+  GroupSweep sweep;
   EngineUsage usage;
-  align::CheckpointSink sink;
-  align::CheckpointSink plain_sink;
-  align::CheckpointRow resume;
-  align::CheckpointRow plain_resume;
-  align::CheckpointView view;
-  align::CheckpointView plain_view;
-  std::vector<std::vector<align::Score>> rows;
-  std::vector<std::vector<align::Score>> plain_rows;
-  std::vector<std::span<align::Score>> outs;
-  std::vector<std::span<align::Score>> plain_outs;
   double idle = 0.0;  ///< wall time parked on the condition variable
 };
 
@@ -105,17 +65,18 @@ class Scheduler {
                     "scoring matrix alphabet does not match the sequence");
     if (options.memory == MemoryMode::kArchiveRows)
       rows_.emplace(m_);  // otherwise: Appendix-A linear-memory mode
-    workers_.reserve(engines.size());
     bool checkpoints = incremental();
     for (align::Engine* e : engines) {
       REPRO_CHECK_MSG(e->lanes() == engines.front()->lanes(),
                       "all worker engines must have the same lane count");
-      Worker& w = workers_.emplace_back(*e);
-      w.rows.resize(static_cast<std::size_t>(e->lanes()));
-      w.plain_rows.resize(static_cast<std::size_t>(e->lanes()));
       checkpoints = checkpoints && e->supports_checkpoints();
     }
     if (checkpoints) cache_.emplace(options.checkpoint_mem);
+    const int checkpoints_per_sweep =
+        cache_ ? std::max(1, options.checkpoints_per_sweep) : 0;
+    workers_.reserve(engines.size());
+    for (align::Engine* e : engines)
+      workers_.emplace_back(s, scoring, *e, checkpoints_per_sweep);
   }
 
   /// Runs worker 0 on the calling thread and every further worker on its
@@ -172,11 +133,6 @@ class Scheduler {
  private:
   bool incremental() const { return options_.checkpoint_mem > 0; }
 
-  int ckpt_stride(int rows) const {
-    const int c = std::max(1, options_.checkpoints_per_sweep);
-    return std::max(1, (rows + c - 1) / c);
-  }
-
   /// Deepest plain-checkpoint row still usable by an *overridden* sweep of
   /// the group at r0: no accepted pair reaches rows at or above it. Caller
   /// holds the lock (dirty_ is shared).
@@ -204,57 +160,14 @@ class Scheduler {
     return true;
   }
 
-  align::GroupJob make_job(int r0, int count,
-                           const align::OverrideTriangle* overrides) const {
-    align::GroupJob job;
-    job.seq = s_.codes();
-    job.scoring = &scoring_;
-    job.overrides = overrides;
-    job.r0 = r0;
-    job.count = count;
-    return job;
-  }
-
-  /// Wires checkpoint resume and emission into a sweep job; returns the
-  /// number of DP rows the sweep will restore instead of computing. `lookup`
-  /// is off for first alignments (nothing can be cached yet, and counting
-  /// them as misses would dilute the hit rate). The caller holds the lock
-  /// (the cache and the dirty list are shared); the resume row is copied
-  /// into `copy`, which the sweep then reads unlocked.
-  int attach_checkpoints(align::GroupJob& job, align::CheckpointSink& sink,
-                         align::CheckpointRow& copy,
-                         align::CheckpointView& view, bool plain_sweep,
-                         bool lookup) {
-    if (!cache_) return 0;
-    int resumed = 0;
-    if (lookup) {
-      const auto found =
-          cache_->find(job.r0, plain_sweep,
-                       plain_sweep ? 0 : plain_valid_limit(job.r0), copy);
-      if (found) {
-        view = *found;
-        job.resume = &view;
-        resumed = view.row;
-        // Checkpoint-resume consistency: a resume point must lie strictly
-        // inside the group's row range (the kernel re-enters at row + 1).
-        REPRO_DCHECK(view.row >= 1 && view.row < job.r0);
-      }
-    }
-    sink.stride = ckpt_stride(job.r0 + job.count - 1);
-    sink.top_row = job.r0 - 1;
-    job.sink = &sink;
-    return resumed;
-  }
-
-  void size_outputs(std::vector<std::vector<align::Score>>& rows,
-                    std::vector<std::span<align::Score>>& outs,
-                    const GroupTask& g) const {
-    outs.resize(static_cast<std::size_t>(g.count));
-    for (int k = 0; k < g.count; ++k) {
-      auto& row = rows[static_cast<std::size_t>(k)];
-      row.resize(static_cast<std::size_t>(m_ - (g.r0 + k)));
-      outs[static_cast<std::size_t>(k)] = row;
-    }
+  /// Offers a sweep of group r0 the shared cache's deepest usable resume
+  /// point for its class. The caller holds the lock (the cache and the dirty
+  /// list are shared); the row is copied into the sweep's buffer, which the
+  /// sweep then reads unlocked.
+  void offer_resume(SweepCheckpoints& ck, int r0, bool plain_sweep) {
+    if (!cache_) return;
+    ck.resume = cache_->find(r0, plain_sweep,
+                             plain_sweep ? 0 : plain_valid_limit(r0), ck.copy);
   }
 
   /// Ends the run for every worker; the first error is rethrown by run().
@@ -302,44 +215,32 @@ class Scheduler {
     cv_.notify_all();
   }
 
-  /// Recomputes the empty-triangle bottom rows of group g — the shadow-
-  /// rejection references when no archive is kept — on the worker's engine
-  /// and returns member b's. Sweeping the whole group keeps the plain
-  /// checkpoint entry in one layout and resumes just above the group. Called
-  /// and returns with the lock held; the sweep itself runs unlocked.
-  std::span<const align::Score> recompute_original(
-      std::unique_lock<std::mutex>& lock, Worker& w, const GroupTask& g, int b,
-      align::Score priority) {
-    align::GroupJob plain = make_job(g.r0, g.count, nullptr);
-    attach_checkpoints(plain, w.plain_sink, w.plain_resume, w.plain_view,
-                       /*plain_sweep=*/true, /*lookup=*/true);
-    lock.unlock();
-    size_outputs(w.plain_rows, w.plain_outs, g);
-    w.engine.align(plain, w.plain_outs);
-    lock.lock();
-    if (cache_)
-      cache_->store(g.r0, /*plain_class=*/true, priority, w.plain_sink);
-    return w.plain_rows[static_cast<std::size_t>(b)];
-  }
-
   void accept_head(std::unique_lock<std::mutex>& lock, Worker& w) {
     const Head head = search_.take_head();
-    const GroupTask& g = search_.group(head.group);
+    const int r0 = search_.group(head.group).r0;
+    const int count = search_.group(head.group).count;
+    // Without an archive the original is recomputed on the worker's engine:
+    // the whole group's plain rows, which keeps the plain checkpoint entry
+    // in one layout and resumes just above the group.
+    SweepCheckpoints& plain = w.sweep.plain_checkpoints();
+    if (!rows_) offer_resume(plain, r0, /*plain_sweep=*/true);
+    lock.unlock();
     const std::span<const align::Score> recomputed =
         rows_ ? std::span<const align::Score>()
-              : recompute_original(lock, w, g, head.r - g.r0, head.score);
-    lock.unlock();
+              : w.sweep.recompute_original(r0, count, head.r - r0);
     // Traceback runs unlocked (the paper's sequential part: the other
     // workers may be waiting for its pairs); it is the only writer of the
     // triangle while accepting.
     util::WallTimer traceback_timer;
     TopAlignment top =
-        rows_ ? accept_with_row(s_, scoring_, triangle_, rows_->row(head.r),
-                                head.r, head.score, options_.traceback)
-              : accept_with_row(s_, scoring_, triangle_, recomputed, head.r,
-                                head.score, options_.traceback);
+        rows_ ? accept_alignment(s_, scoring_, triangle_, rows_->row(head.r),
+                                 head.r, head.score, options_.traceback)
+              : accept_alignment(s_, scoring_, triangle_, recomputed, head.r,
+                                 head.score, options_.traceback);
     const double traceback_seconds = traceback_timer.seconds();
     lock.lock();
+    if (!rows_ && cache_)
+      cache_->store(r0, /*plain_class=*/true, head.score, plain.sink);
     search_.stats().traceback_seconds += traceback_seconds;
     tops_.push_back(std::move(top));
     // Triangle monotone growth: every accepted pair is now overridden.
@@ -373,55 +274,30 @@ class Scheduler {
     }
 
     const int rows_g = g.r0 + g.count - 1;
-    // Lookups run locked and copy their rows into the worker's buffers, so
-    // the sweeps below read them unlocked while other workers store and
+    // Lookups run locked and copy their rows into the sweep's buffers, so
+    // the sweep below reads them unlocked while other workers store and
     // invalidate. A version-0 sweep runs under the empty triangle and is
-    // cached as a plain sweep; overridden checkpoints stay valid via
-    // invalidation.
-    align::GroupJob job = make_job(g.r0, g.count, v == 0 ? nullptr : &triangle_);
-    const int resumed = attach_checkpoints(job, w.sink, w.resume, w.view,
-                                           /*plain_sweep=*/v == 0,
-                                           /*lookup=*/v > 0);
-    align::GroupJob plain = make_job(g.r0, g.count, nullptr);
-    const int plain_resumed =
-        recompute ? attach_checkpoints(plain, w.plain_sink, w.plain_resume,
-                                       w.plain_view, /*plain_sweep=*/true,
-                                       /*lookup=*/true)
-                  : 0;
+    // cached as a plain sweep; it looks nothing up (nothing is cached yet,
+    // and counting misses would dilute the hit rate). Overridden
+    // checkpoints stay valid via invalidation.
+    GroupSweep& gs = w.sweep;
+    if (v > 0) offer_resume(gs.checkpoints(), g.r0, /*plain_sweep=*/false);
+    if (recompute)
+      offer_resume(gs.plain_checkpoints(), g.r0, /*plain_sweep=*/true);
     lock.unlock();
 
     util::WallTimer sweep_timer;
-    // Plain first: an adaptive engine then escalates the group on its plain
-    // rows before its first overridden sweep (whose scores are never higher),
-    // so each cache entry keeps one precision layout.
-    if (recompute) {
-      size_outputs(w.plain_rows, w.plain_outs, g);
-      w.engine.align(plain, w.plain_outs);
-    }
-    size_outputs(w.rows, w.outs, g);
-    w.engine.align(job, w.outs);
+    const int restored =
+        gs.sweep(g.r0, g.count, v == 0 ? nullptr : &triangle_, recompute);
     const double sweep_seconds = sweep_timer.seconds();
-
-    std::vector<align::Score> new_scores(static_cast<std::size_t>(g.count));
-    for (int k = 0; k < g.count; ++k) {
-      const int r = g.r0 + k;
-      const auto& row = w.rows[static_cast<std::size_t>(k)];
-      align::Score& score = new_scores[static_cast<std::size_t>(k)];
-      if (v == 0) {
-        // Every rectangle is first-aligned while all queue keys are still
-        // infinite, i.e. before any acceptance; the archived bottom rows are
-        // therefore always empty-triangle originals (disjoint: safe unlocked).
-        if (rows_) rows_->store(r, row);
-        score = align::find_best_end(row).score;
-      } else if (rows_) {
-        score = align::find_best_end(row, rows_->row(r)).score;
-      } else {
-        score = align::find_best_end(
-                    row, std::span<const align::Score>(
-                             w.plain_rows[static_cast<std::size_t>(k)]))
-                    .score;
-      }
-    }
+    // Every rectangle is first-aligned while all queue keys are still
+    // infinite, i.e. before any acceptance; the archived bottom rows are
+    // therefore always empty-triangle originals (disjoint: safe unlocked).
+    if (v == 0 && rows_)
+      for (int k = 0; k < g.count; ++k) rows_->store(g.r0 + k, gs.row(k));
+    const std::span<const align::Score> new_scores =
+        v > 0 && rows_ ? gs.scores([this](int r) { return rows_->row(r); })
+                       : gs.scores();
 
     lock.lock();
     if (cache_) {
@@ -430,35 +306,34 @@ class Scheduler {
       // reflect torn override bits — drop them before committing. Rows below
       // every dirty row are pure and current by the monotone-growth argument.
       // The paired plain sweep never reads the triangle and needs no drop.
+      align::CheckpointSink& sink = gs.checkpoints().sink;
       int md = align::PairDirtyIndex::kNoDirtyRow;
       for (int t = v; t < static_cast<int>(dirty_.size()); ++t)
         md = std::min(md,
                       dirty_[static_cast<std::size_t>(t)].min_dirty_row(g.r0));
-      w.sink.drop_from(md);
+      sink.drop_from(md);
       if constexpr (check::kContractsEnabled) {
-        for (int idx = 0; idx < w.sink.count; ++idx)
+        for (int idx = 0; idx < sink.count; ++idx)
           REPRO_DCHECK_MSG(
-              w.sink.rows[static_cast<std::size_t>(idx)].row < md,
+              sink.rows[static_cast<std::size_t>(idx)].row < md,
               "torn-read-unsafe checkpoint row "
-                  << w.sink.rows[static_cast<std::size_t>(idx)].row
+                  << sink.rows[static_cast<std::size_t>(idx)].row
                   << " survived drop_from(" << md << ") for group r0="
                   << g.r0);
       }
       const align::Score priority =
           *std::max_element(new_scores.begin(), new_scores.end());
-      cache_->store(g.r0, /*plain_class=*/v == 0, priority, w.sink);
+      cache_->store(g.r0, /*plain_class=*/v == 0, priority, sink);
       if (recompute)
-        cache_->store(g.r0, /*plain_class=*/true, priority, w.plain_sink);
+        cache_->store(g.r0, /*plain_class=*/true, priority,
+                      gs.plain_checkpoints().sink);
     }
     FinderStats& stats = search_.stats();
     if (v > 0) {
       stats.realign_seconds += sweep_seconds;
-      stats.rows_swept += static_cast<std::uint64_t>(rows_g);
-      stats.rows_skipped += static_cast<std::uint64_t>(resumed);
-      if (recompute) {
-        stats.rows_swept += static_cast<std::uint64_t>(rows_g);
-        stats.rows_skipped += static_cast<std::uint64_t>(plain_resumed);
-      }
+      stats.rows_swept +=
+          static_cast<std::uint64_t>(recompute ? 2 * rows_g : rows_g);
+      stats.rows_skipped += static_cast<std::uint64_t>(restored);
     }
     search_.commit_sweep(sweep, new_scores);
   }
@@ -493,21 +368,39 @@ FinderResult run_scheduler(const seq::Sequence& s, const seq::Scoring& scoring,
   return scheduler.run(metrics_prefix);
 }
 
-TopAlignment accept_alignment(const seq::Sequence& s, const seq::Scoring& scoring,
+template <typename T>
+TopAlignment accept_alignment(const seq::Sequence& s,
+                              const seq::Scoring& scoring,
                               align::OverrideTriangle& triangle,
-                              std::span<const align::Score> original_row, int r,
-                              align::Score expected) {
-  return accept_with_row(s, scoring, triangle, original_row, r, expected,
-                         TracebackMode::kFullMatrix);
+                              std::span<const T> original_row, int r,
+                              align::Score expected, TracebackMode mode) {
+  const auto job = group_job(s, scoring, r, 1, &triangle);
+  align::Traceback tb = mode == TracebackMode::kLinearSpace
+                            ? align::traceback_best_linear(job, original_row)
+                            : align::traceback_best(job, original_row);
+  REPRO_CHECK_MSG(tb.score == expected,
+                  "acceptance score mismatch at r=" << r << ": queued "
+                                                    << expected << ", traced "
+                                                    << tb.score);
+  for (const auto& [i, j] : tb.pairs) triangle.set(i, j);
+  TopAlignment top;
+  top.r = r;
+  top.score = tb.score;
+  top.end_x = tb.end_x;
+  top.pairs = std::move(tb.pairs);
+  return top;
 }
 
-TopAlignment accept_alignment(const seq::Sequence& s, const seq::Scoring& scoring,
-                              align::OverrideTriangle& triangle,
-                              std::span<const std::int16_t> original_row, int r,
-                              align::Score expected) {
-  return accept_with_row(s, scoring, triangle, original_row, r, expected,
-                         TracebackMode::kFullMatrix);
-}
+template TopAlignment accept_alignment(const seq::Sequence&,
+                                       const seq::Scoring&,
+                                       align::OverrideTriangle&,
+                                       std::span<const align::Score>, int,
+                                       align::Score, TracebackMode);
+template TopAlignment accept_alignment(const seq::Sequence&,
+                                       const seq::Scoring&,
+                                       align::OverrideTriangle&,
+                                       std::span<const std::int16_t>, int,
+                                       align::Score, TracebackMode);
 
 void EngineUsage::add_to(FinderStats& stats) const {
   stats.cells += engine.cells_computed() - cells0;

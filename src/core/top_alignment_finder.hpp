@@ -57,25 +57,21 @@ FinderResult run_scheduler(const seq::Sequence& s, const seq::Scoring& scoring,
                            std::span<align::Engine* const> engines,
                            std::string_view metrics_prefix);
 
-/// Accepts rectangle r as the next top alignment: recomputes its full matrix
-/// under `triangle`, traces back the best valid end cell (shadow-rejected
-/// against `original_row`, its empty-triangle bottom row), verifies the
-/// score equals `expected`, and marks the alignment's pairs in `triangle`.
-/// This overload takes a freshly recomputed original row (the Appendix-A
-/// low-memory mode, MemoryMode::kRecomputeRows).
+/// Accepts rectangle r as the next top alignment: traces back the best
+/// valid end cell under `triangle` (shadow-rejected against `original_row`,
+/// its empty-triangle bottom row) over the full matrix or in linear space
+/// (`mode`), verifies the score equals `expected`, and marks the
+/// alignment's pairs in `triangle`. The original row is a recomputed one
+/// (T = align::Score, MemoryMode::kRecomputeRows) or an archived one
+/// (T = std::int16_t), e.g. BottomRowStore::row(r) or the distributed
+/// master's fetched row; both are instantiated.
+template <typename T>
 TopAlignment accept_alignment(const seq::Sequence& s,
                               const seq::Scoring& scoring,
                               align::OverrideTriangle& triangle,
-                              std::span<const align::Score> original_row, int r,
-                              align::Score expected);
-
-/// Overload taking an archived (i16) original row, e.g.
-/// BottomRowStore::row(r) or the distributed master's fetched replica.
-TopAlignment accept_alignment(const seq::Sequence& s,
-                              const seq::Scoring& scoring,
-                              align::OverrideTriangle& triangle,
-                              std::span<const std::int16_t> original_row, int r,
-                              align::Score expected);
+                              std::span<const T> original_row, int r,
+                              align::Score expected,
+                              TracebackMode mode = TracebackMode::kFullMatrix);
 
 /// An engine's counters at the start of a run. Engines may be reused across
 /// runs (their query profile persists by design), so add_to() adds only the

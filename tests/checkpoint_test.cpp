@@ -402,6 +402,39 @@ TEST_P(AdaptiveCheckpoint, EscalatedGroupKeepsOnlyI16Checkpoints) {
   EXPECT_EQ(sink.count, (r0 - 1) / 9 + ((r0 - 1) % 9 != 0 ? 1 : 0));
 }
 
+TEST_P(AdaptiveCheckpoint, OtherLayoutResumeIsDroppedAndCountsNoRows) {
+  // A shared cache offers an i16-layout resume for a group another worker
+  // escalated. An engine running the group at u8 drops it and sweeps from
+  // row 1, so no row counts as restored and every row's lane-cells count as
+  // computed.
+  const int m = 160;
+  const auto g = seq::synthetic_titin(m, 7);
+  const seq::Scoring scoring = seq::Scoring::protein_default();
+  const int r0 = 90;
+  const auto fresh = engine();
+  const int lanes = fresh->lanes();
+  const auto scratch =
+      align_group(*fresh, g.sequence, scoring, nullptr, r0, lanes);
+  ASSERT_EQ(fresh->precision_stats().escalations, 0u);
+
+  const auto elems = static_cast<std::size_t>((m - r0) * lanes);
+  const std::vector<std::int16_t> h(elems, 0);
+  const std::vector<std::int16_t> max_y(elems, align::kNegInf16);
+  CheckpointView view;
+  view.row = 40;
+  view.lanes = lanes;
+  view.elem_size = 2;
+  view.h = reinterpret_cast<const std::byte*>(h.data());
+  view.max_y = reinterpret_cast<const std::byte*>(max_y.data());
+  view.bytes = elems * sizeof(std::int16_t);
+  const auto eng = engine();
+  EXPECT_EQ(align_group(*eng, g.sequence, scoring, nullptr, r0, lanes, &view),
+            scratch);
+  EXPECT_EQ(eng->precision_stats().i16_sweeps, 0u);
+  EXPECT_EQ(eng->cells_skipped(), 0u);
+  EXPECT_EQ(eng->cells_computed(), fresh->cells_computed());
+}
+
 INSTANTIATE_TEST_SUITE_P(PerIsa, AdaptiveCheckpoint,
                          ::testing::ValuesIn(testing::all_adaptive_rows()),
                          testing::adaptive_row_param_name);

@@ -9,8 +9,6 @@
 #include <string>
 #include <vector>
 
-#include <sys/wait.h>
-
 #include "align/engine.hpp"
 #include "seq/scoring.hpp"
 
@@ -180,16 +178,19 @@ TEST(Cli, ParallelThreadsAgreeWithSequential) {
 }
 
 TEST(Cli, LowMemoryAndLinearTracebackWorkAtAnyThreadCount) {
+  // ... and on the cluster: every driver runs the same group sweep.
   const std::string fasta = temp_fasta();
   ASSERT_EQ(run_cli("generate --kind titin --length 260 --out " + fasta).status, 0);
   for (const std::string flag : {"--low-memory", "--linear-traceback"}) {
     const std::string find =
         "find --fasta " + fasta + " --tops 5 --format csv " + flag;
     const RunResult one = run_cli(find + " --threads 1");
-    const RunResult two = run_cli(find + " --threads 2");
     EXPECT_EQ(one.status, 0) << flag << ": " << one.out;
-    EXPECT_EQ(two.status, 0) << flag << ": " << two.out;
-    EXPECT_EQ(one.out, two.out) << flag;
+    for (const std::string driver : {"--threads 2", "--ranks 3"}) {
+      const RunResult r = run_cli(find + " " + driver);
+      EXPECT_EQ(r.status, 0) << flag << " " << driver << ": " << r.out;
+      EXPECT_EQ(one.out, r.out) << flag << " " << driver;
+    }
   }
 }
 
@@ -211,17 +212,22 @@ TEST(Cli, ClusterRanksAgreeWithSequentialEvenUnderFaults) {
   EXPECT_EQ(seq.out, faulted.out);
 }
 
-TEST(Cli, ClusterRejectsLowMemoryModesNamingThreads) {
+TEST(Cli, ClusterLowMemoryModesSurviveFaultsOnEitherRowStorage) {
+  // --row-storage has no effect under --low-memory (no rank keeps rows);
+  // the rebuilt originals survive a seeded fault schedule.
   const std::string fasta = temp_fasta();
   ASSERT_EQ(run_cli("generate --kind titin --length 200 --out " + fasta)
                 .status, 0);
-  for (const char* flag : {" --low-memory", " --linear-traceback"}) {
-    const RunResult r =
-        run_cli("find --fasta " + fasta + " --tops 2 --ranks 3" + flag);
-    ASSERT_TRUE(WIFEXITED(r.status)) << flag;
-    EXPECT_EQ(WEXITSTATUS(r.status), 1) << flag << ": " << r.out;
-    EXPECT_NE(r.out.find("--threads"), std::string::npos)
-        << flag << ": " << r.out;
+  const std::string find = "find --fasta " + fasta +
+                           " --tops 4 --format csv --low-memory "
+                           "--linear-traceback";
+  const RunResult one = run_cli(find + " --threads 1");
+  ASSERT_EQ(one.status, 0) << one.out;
+  for (const std::string storage : {"replica", "partitioned"}) {
+    const RunResult r = run_cli(find + " --ranks 4 --fault-seed 3 "
+                                       "--row-storage " + storage);
+    EXPECT_EQ(r.status, 0) << storage << ": " << r.out;
+    EXPECT_EQ(one.out, r.out) << storage;
   }
 }
 

@@ -286,6 +286,44 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
+TEST(ChaosLowMemory, LinearSpaceSeededSchedulesMatchSequential) {
+  // Low-memory mode with the linear-space traceback: no rank keeps rows, so
+  // every realignment sweeps its originals alongside and every acceptance
+  // fetches the head's original from a worker that rebuilds it — through
+  // the same drops, delays, duplicates and crashes as the archive modes.
+  const auto g = seq::synthetic_titin(140, 91);
+  FinderOptions opt;
+  opt.num_top_alignments = 4;
+  opt.memory = core::MemoryMode::kRecomputeRows;
+  opt.traceback = core::TracebackMode::kLinearSpace;
+  const auto scalar = align::make_engine(align::EngineKind::kScalar);
+  const auto reference = core::find_top_alignments(
+      g.sequence, Scoring::protein_default(), opt, *scalar);
+
+  const int ranks = 4;
+  std::uint64_t total_injected = 0;
+  std::uint64_t total_rebuilds = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    ClusterOptions copt;
+    copt.ranks = ranks;
+    copt.finder = opt;
+    copt.fault_plan = FaultPlan::from_seed(seed, ranks);
+    copt.ft = test_ft();
+    ClusterRunInfo info;
+    const auto res = find_top_alignments_cluster(
+        g.sequence, Scoring::protein_default(), copt,
+        align::engine_factory(align::EngineKind::kScalar), &info);
+    std::string diff;
+    ASSERT_TRUE(core::same_tops(reference.tops, res.tops, &diff))
+        << "seed " << seed << ": " << diff;
+    EXPECT_EQ(info.row_deposits, 0u) << "seed " << seed;
+    total_injected += info.faults_injected;
+    total_rebuilds += info.row_rebuilds;
+  }
+  EXPECT_GT(total_injected, 0u);
+  EXPECT_GT(total_rebuilds, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Targeted schedules: the specific failure windows called out in the issue.
 

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <tuple>
 
 #include "cluster/master_worker.hpp"
 #include "cluster/mpisim.hpp"
@@ -352,6 +354,95 @@ TEST(ClusterFinder, PartitionedDeterministicAcrossRepeats) {
     std::string diff;
     EXPECT_TRUE(core::same_tops(first.tops, res.tops, &diff)) << diff;
   }
+}
+
+/// Where a matrix cell keeps first-alignment rows: archived on the master,
+/// partitioned over the workers, or nowhere (low-memory mode, where every
+/// rank recomputes originals instead).
+enum class Rows { kReplica, kPartitioned, kLowMemory };
+
+using MatrixCell =
+    std::tuple<int, Rows, core::TracebackMode, align::EngineKind>;
+
+class ClusterMatrixTest : public ::testing::TestWithParam<MatrixCell> {};
+
+TEST_P(ClusterMatrixTest, MatchesSequential) {
+  const auto [ranks, rows, traceback, kind] = GetParam();
+  const auto g = seq::synthetic_titin(200, 97);
+  FinderOptions opt;
+  opt.num_top_alignments = 6;
+  opt.traceback = traceback;
+  if (rows == Rows::kLowMemory) opt.memory = core::MemoryMode::kRecomputeRows;
+  const auto scalar = align::make_engine(align::EngineKind::kScalar);
+  const auto reference = core::find_top_alignments(
+      g.sequence, Scoring::protein_default(), opt, *scalar);
+
+  ClusterOptions copt;
+  copt.ranks = ranks;
+  copt.row_storage = rows == Rows::kPartitioned ? RowStorage::kPartitioned
+                                                : RowStorage::kMasterReplica;
+  copt.finder = opt;
+  ClusterRunInfo info;
+  const auto res = find_top_alignments_cluster(
+      g.sequence, Scoring::protein_default(), copt,
+      align::engine_factory(kind), &info);
+  std::string diff;
+  EXPECT_TRUE(core::same_tops(reference.tops, res.tops, &diff)) << diff;
+  core::validate_tops(res.tops, g.sequence, Scoring::protein_default());
+  if (rows == Rows::kLowMemory) {
+    // No rank keeps rows: the master fetches each accepted head's original
+    // from a worker, which rebuilds it.
+    EXPECT_EQ(info.row_deposits, 0u);
+    EXPECT_EQ(info.row_replicas_served, 0u);
+    EXPECT_GT(info.row_rebuilds, 0u);
+    EXPECT_LE(info.row_rebuilds, res.tops.size());
+  }
+}
+
+std::string matrix_cell_name(const ::testing::TestParamInfo<MatrixCell>& info) {
+  static constexpr const char* kRows[] = {"Replica", "Partitioned",
+                                          "LowMemory"};
+  const int ranks = std::get<0>(info.param);
+  const Rows rows = std::get<1>(info.param);
+  const bool linear =
+      std::get<2>(info.param) == core::TracebackMode::kLinearSpace;
+  const bool scalar = std::get<3>(info.param) == align::EngineKind::kScalar;
+  return "Ranks" + std::to_string(ranks) + kRows[static_cast<int>(rows)] +
+         (linear ? "Linear" : "Full") + (scalar ? "Scalar" : "Auto");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RanksRowsTraceback, ClusterMatrixTest,
+    ::testing::Combine(::testing::Values(2, 3, 4, 8),
+                       ::testing::Values(Rows::kReplica, Rows::kPartitioned,
+                                         Rows::kLowMemory),
+                       ::testing::Values(core::TracebackMode::kFullMatrix,
+                                         core::TracebackMode::kLinearSpace),
+                       ::testing::Values(align::EngineKind::kScalar,
+                                         align::EngineKind::kSimdAuto)),
+    matrix_cell_name);
+
+TEST(ClusterFinder, LowMemoryIgnoresRowStorage) {
+  // Under low-memory mode no rank keeps rows, so partitioned storage sends
+  // no deposits and the run's traffic is the replica run's.
+  const auto g = seq::synthetic_titin(220, 98);
+  ClusterOptions copt;
+  copt.ranks = 4;
+  copt.finder.num_top_alignments = 5;
+  copt.finder.memory = core::MemoryMode::kRecomputeRows;
+  const auto factory = align::engine_factory(align::EngineKind::kScalar);
+  ClusterRunInfo replica;
+  const auto a = find_top_alignments_cluster(
+      g.sequence, Scoring::protein_default(), copt, factory, &replica);
+  copt.row_storage = RowStorage::kPartitioned;
+  ClusterRunInfo partitioned;
+  const auto b = find_top_alignments_cluster(
+      g.sequence, Scoring::protein_default(), copt, factory, &partitioned);
+  std::string diff;
+  EXPECT_TRUE(core::same_tops(a.tops, b.tops, &diff)) << diff;
+  EXPECT_EQ(partitioned.row_deposits, 0u);
+  EXPECT_EQ(replica.row_replicas_served, 0u);
+  EXPECT_EQ(partitioned.row_rebuilds, replica.row_rebuilds);
 }
 
 TEST(ClusterFinder, MinScoreStopsEarly) {

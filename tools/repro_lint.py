@@ -56,6 +56,16 @@ one-checkpoint-cache  src/ may construct an align::CheckpointCache (a value,
                       run shares the scheduler's one cache, so per-worker
                       caches cannot return. tests/ and bench/ are exempt,
                       and so are the class's own checkpoint_cache files.
+one-group-sweep       src/ may construct an align::GroupJob (a value, a
+                      temporary or a template argument) only in the sweep
+                      component (src/core/group_sweep.{hpp,cpp}), in
+                      src/align/, and in src/core/old_finder.cpp (the
+                      O(n^4) reference oracle): the scheduler's thread
+                      workers, the cluster's worker ranks and the
+                      virtual-cluster oracle all sweep groups through
+                      core::GroupSweep and build jobs with core::group_job,
+                      so no driver forks its own sweep step again. tests/,
+                      bench/, fuzz/ and perfbench/ are exempt.
 nolint-reason         every NOLINT must name its check and give a reason:
                       // NOLINT(<check>): <reason>
 shell-hygiene         shell scripts start with a bash shebang and set
@@ -417,6 +427,28 @@ def check_one_checkpoint_cache() -> None:
                      "the scheduler's one checkpoint cache")
 
 
+JOB_HOMES = {("src", "core", "group_sweep.hpp"),
+             ("src", "core", "group_sweep.cpp"),
+             ("src", "core", "old_finder.cpp")}
+JOB_CONSTRUCT = re.compile(r"\bGroupJob\b\s*(?:[>({]|\w+\s*[({;=,)])")
+
+
+def check_one_group_sweep() -> None:
+    for path in glob_files(["src/**/*.cpp", "src/**/*.hpp"]):
+        rel = path.relative_to(ROOT).parts
+        if rel in JOB_HOMES or rel[:2] == ("src", "align"):
+            continue
+        raw = path.read_text().splitlines()
+        code = strip_comments_and_strings(path.read_text()).splitlines()
+        for no, (raw_line, code_line) in enumerate(zip(raw, code), start=1):
+            m = JOB_CONSTRUCT.search(code_line)
+            if m and not allowed(raw_line, "one-group-sweep"):
+                fail(path, no, "one-group-sweep",
+                     f"'{m.group(0).strip()}' outside the sweep component: "
+                     "sweep groups with core::GroupSweep and build jobs "
+                     "with core::group_job")
+
+
 def check_nolint_reasons() -> None:
     for path in glob_files(CXX_GLOBS):
         for no, line in enumerate(path.read_text().splitlines(), start=1):
@@ -461,6 +493,7 @@ def main() -> int:
     check_metrics_naming()
     check_one_search_core()
     check_one_checkpoint_cache()
+    check_one_group_sweep()
     check_nolint_reasons()
     check_shell_hygiene()
     check_format_fallback()

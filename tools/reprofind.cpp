@@ -164,15 +164,15 @@ int cmd_find(int argc, char** argv) {
                    {"threads",
                     "shared-memory workers (default 1 = sequential); "
                     "--low-memory and --linear-traceback work at any "
-                    "thread count"},
+                    "thread count and rank count"},
                    {"ranks",
                     "simulated cluster ranks incl. master (default 1 = no "
-                    "cluster; excludes --threads); takes neither "
-                    "--low-memory nor --linear-traceback, which need "
-                    "--threads N"},
+                    "cluster; excludes --threads); takes --low-memory and "
+                    "--linear-traceback like --threads"},
                    {"row-storage",
                     "cluster bottom-row placement: replica (default) | "
-                    "partitioned"},
+                    "partitioned; no effect under --low-memory, where no "
+                    "rank keeps rows"},
                    {"fault-seed",
                     "inject a seeded fault schedule into the cluster run "
                     "(drops/delays/dups/crashes; recovery keeps output "
