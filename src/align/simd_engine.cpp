@@ -22,7 +22,6 @@
 #include "align/simd_kernel.hpp"
 #include "align/traceback_fill.hpp"
 #include "align/vec_ops.hpp"
-#include "obs/metrics.hpp"
 
 namespace repro::align {
 namespace detail {
@@ -145,30 +144,12 @@ int Engine::align(const GroupJob& job, std::span<const std::span<Score>> out) {
   if (job.resumed_rows != nullptr) *job.resumed_rows = restored;
   const auto m = static_cast<std::uint64_t>(job.seq.size());
   const std::uint64_t width = m - static_cast<std::uint64_t>(job.r0);
+  const std::uint64_t row_cells = width * static_cast<std::uint64_t>(lanes());
+  const auto rows = static_cast<std::uint64_t>(job.r0 + job.count - 1);
   const auto resumed_rows = static_cast<std::uint64_t>(restored);
-  const std::uint64_t group_cells =
-      (static_cast<std::uint64_t>(job.r0 + job.count - 1) - resumed_rows) *
-      width * static_cast<std::uint64_t>(lanes());
-  const std::uint64_t skipped_cells =
-      resumed_rows * width * static_cast<std::uint64_t>(lanes());
-  cells_ += group_cells;
-  cells_skipped_ += skipped_cells;
+  cells_ += (rows - resumed_rows) * row_cells;
+  cells_skipped_ += resumed_rows * row_cells;
   aligns_ += 1;
-  if constexpr (obs::kEnabled) {
-    // Slots fetched once per process; per group alignment this is two
-    // relaxed adds, and with REPRO_OBS=OFF the whole block vanishes.
-    static obs::Counter& lane_cells =
-        obs::Registry::global().counter("align.lane_cells");
-    static obs::Counter& group_alignments =
-        obs::Registry::global().counter("align.group_alignments");
-    lane_cells.add(group_cells);
-    group_alignments.add(1);
-    if (skipped_cells > 0) {
-      static obs::Counter& lane_cells_skipped =
-          obs::Registry::global().counter("align.lane_cells_skipped");
-      lane_cells_skipped.add(skipped_cells);
-    }
-  }
   return restored;
 }
 

@@ -30,7 +30,6 @@
 #include "align/engine_detail.hpp"
 #include "align/query_profile.hpp"
 #include "align/simd_kernel.hpp"
-#include "obs/metrics.hpp"
 
 namespace repro::align::detail {
 
@@ -40,51 +39,14 @@ inline int default_stripe(int lanes, int elem_bytes) {
   return 32768 / 3 / (2 * elem_bytes * lanes);
 }
 
-// Precision counters: engines bump their PrecisionStats struct and mirror
-// into the global registry (one relaxed add per group sweep; the whole
-// mirror vanishes with REPRO_OBS=OFF).
-inline void note_sweep_obs(bool i8) {
-  if constexpr (obs::kEnabled) {
-    static obs::Counter& i8_sweeps =
-        obs::Registry::global().counter("align.precision.i8_sweeps");
-    static obs::Counter& i16_sweeps =
-        obs::Registry::global().counter("align.precision.i16_sweeps");
-    (i8 ? i8_sweeps : i16_sweeps).add(1);
-  } else {
-    (void)i8;
-  }
-}
-
-inline void note_escalation_obs() {
-  if constexpr (obs::kEnabled) {
-    static obs::Counter& escalations =
-        obs::Registry::global().counter("align.precision.escalations");
-    escalations.add(1);
-  }
-}
-
-inline void note_profile_obs(bool rebuilt) {
-  if constexpr (obs::kEnabled) {
-    static obs::Counter& hits =
-        obs::Registry::global().counter("align.precision.profile_hits");
-    static obs::Counter& builds =
-        obs::Registry::global().counter("align.precision.profile_builds");
-    (rebuilt ? builds : hits).add(1);
-  } else {
-    (void)rebuilt;
-  }
-}
-
 /// Bumps the sweep counter matching Elem's precision (i32 sweeps are not
 /// tracked — they have no narrower precision to compare against).
 template <typename Elem>
 inline void note_sweep(PrecisionStats& stats) {
   if constexpr (sizeof(Elem) == 1) {
     ++stats.i8_sweeps;
-    note_sweep_obs(true);
   } else if constexpr (sizeof(Elem) == 2) {
     ++stats.i16_sweeps;
-    note_sweep_obs(false);
   }
 }
 
@@ -108,7 +70,7 @@ class SimdEngineT final : public Engine {
   void do_align(const GroupJob& job,
                 std::span<const std::span<Score>> out) override {
     validate_job(job, out, lanes());
-    note_profile_obs(profile_.ensure(job.seq, *job.scoring, stats_));
+    profile_.ensure(job.seq, *job.scoring, stats_);
     if constexpr (!std::is_signed_v<typename Ops::Elem>) {
       REPRO_CHECK_MSG(profile_.feasible(),
                       "scoring exceeds the u8 biased-profile range; use an "
@@ -164,10 +126,7 @@ class AdaptiveEngineT final : public Engine {
     validate_job(job, out, lanes());
     if (profile8_.ensure(job.seq, *job.scoring, stats_)) {
       // New workload: prior escalation decisions no longer apply.
-      note_profile_obs(true);
       escalated_.clear();
-    } else {
-      note_profile_obs(false);
     }
     if (profile8_.feasible() && escalated_.count(job.r0) == 0) {
       GroupJob j8 = job;
@@ -184,10 +143,9 @@ class AdaptiveEngineT final : public Engine {
       // uncertified. The i16 sweep below re-prepares the same sink, so the
       // group's cache entry holds i16 rows from its very first store.
       ++stats_.escalations;
-      note_escalation_obs();
       escalated_.insert(job.r0);
     }
-    note_profile_obs(profile16_.ensure(job.seq, *job.scoring, stats_));
+    profile16_.ensure(job.seq, *job.scoring, stats_);
     GroupJob j16 = job;
     fit_resume(j16, 2);
     bool sat = false;

@@ -1,7 +1,6 @@
 #include "cluster/master_worker.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <deque>
 #include <limits>
@@ -45,24 +44,6 @@ enum Tag : int {
   kPing,         // M->W: []  (sent on a missed deadline; liveness probe)
   kPong,         // W->M: []
   kShutdown,     // M->W: []
-};
-
-/// Process-shared recovery accounting. Observability only — never consulted
-/// by the protocol itself, so relaxed atomics are fine (a real-MPI port
-/// would reduce per-rank tallies instead).
-struct RecoveryStats {
-  std::atomic<std::uint64_t> deposits{0};  ///< cross-rank row deposits sent
-  std::atomic<std::uint64_t> retries{0};
-  std::atomic<std::uint64_t> reassignments{0};
-  std::atomic<std::uint64_t> heartbeat_misses{0};
-  std::atomic<std::uint64_t> stale_results{0};
-  std::atomic<std::uint64_t> row_rebuilds{0};
-  std::atomic<std::uint64_t> sync_requests{0};
-  std::atomic<std::uint64_t> workers_lost{0};
-
-  void bump(std::atomic<std::uint64_t>& c) {
-    c.fetch_add(1, std::memory_order_relaxed);
-  }
 };
 
 Message make_row_message(int tag, int r, std::span<const std::int16_t> row) {
@@ -117,12 +98,12 @@ milliseconds next_backoff(milliseconds current, const FaultToleranceOptions& ft)
 class Master {
  public:
   Master(Comm& comm, const seq::Sequence& s, const seq::Scoring& scoring,
-         const ClusterOptions& options, int lanes, RecoveryStats& recovery)
+         const ClusterOptions& options, int lanes, ClusterRunInfo& tally)
       : comm_(comm),
         s_(s),
         scoring_(scoring),
         options_(options),
-        recovery_(recovery),
+        tally_(tally),
         triangle_(s.length()),
         search_(s.length(), lanes, options.finder),
         workers_(static_cast<std::size_t>(comm.size())) {
@@ -152,8 +133,6 @@ class Master {
     res.stats.seconds = timer.seconds();
     return res;
   }
-
-  [[nodiscard]] std::uint64_t replicas_served() const { return replicas_served_; }
 
  private:
   struct Assignment {
@@ -205,18 +184,18 @@ class Master {
       if (comm_.closed(w)) {
         if (rec.job.has_value()) {
           cancel_assignment(w);
-          recovery_.bump(recovery_.reassignments);
+          ++tally_.reassignments;
         }
         std::erase(idle_, w);
         rec.state = WState::kDead;
-        recovery_.bump(recovery_.workers_lost);
+        ++tally_.workers_lost;
         continue;
       }
       if (deadlines_armed() && rec.job.has_value() && now >= rec.job->deadline) {
-        recovery_.bump(recovery_.heartbeat_misses);
+        ++tally_.heartbeat_misses;
         comm_.send(0, w, {kPing, {}});
         cancel_assignment(w);
-        recovery_.bump(recovery_.retries);
+        ++tally_.retries;
         mark_idle(w);
       }
     }
@@ -261,7 +240,7 @@ class Master {
       if (fetched_.contains(r) ||
           (!comm_.fault_active() && !comm_.closed(owner)))
         continue;
-      recovery_.bump(recovery_.retries);
+      ++tally_.retries;
       backoff = next_backoff(backoff, options_.ft);
       sweep();  // fold in the owner's death before re-routing
     }
@@ -335,7 +314,7 @@ class Master {
                         "row request reached a master without a row replica");
         const int r = msg.data.at(0);
         comm_.send(0, src, make_row_message(kRowReply, r, rows_->row(r)));
-        ++replicas_served_;
+        ++tally_.row_replicas_served;
         break;
       }
       case kRowReply:
@@ -355,7 +334,7 @@ class Master {
         if (rec.job.has_value() && rec.job->r0 == msg.data.at(0) &&
             rec.job->sweep.version == msg.data.at(1)) {
           cancel_assignment(src);
-          recovery_.bump(recovery_.retries);
+          ++tally_.retries;
           mark_idle(src);
         }
         break;
@@ -369,7 +348,7 @@ class Master {
   /// Cumulative triangle state up to target_version, idempotent to apply.
   void send_sync_reply(int src, int target_version) {
     REPRO_CHECK(target_version >= 0 && target_version <= search_.version());
-    recovery_.bump(recovery_.sync_requests);
+    ++tally_.sync_requests;
     Message reply;
     reply.tag = kSyncReply;
     std::size_t npairs = 0;
@@ -398,7 +377,7 @@ class Master {
     // a rank that has since died — is superseded and must be dropped.
     if (!rec.job.has_value() || rec.job->r0 != r0 ||
         rec.job->sweep.version != v) {
-      recovery_.bump(recovery_.stale_results);
+      ++tally_.stale_results;
       return;
     }
     const core::Sweep sweep = rec.job->sweep;
@@ -428,7 +407,7 @@ class Master {
   const seq::Sequence& s_;
   const seq::Scoring& scoring_;
   const ClusterOptions& options_;
-  RecoveryStats& recovery_;
+  ClusterRunInfo& tally_;  ///< this rank's counts; summed after the join
   align::OverrideTriangle triangle_;
   std::optional<align::BottomRowStore> rows_;  // replica mode only
   std::unordered_map<int, std::vector<std::int16_t>> fetched_;  // otherwise
@@ -436,7 +415,6 @@ class Master {
   std::vector<WorkerRec> workers_;  // indexed by rank; [0] unused
   std::vector<int> idle_;
   std::vector<core::TopAlignment> tops_;
-  std::uint64_t replicas_served_ = 0;
 };
 
 /// Raised inside a worker when the master shuts the run down (or vanishes)
@@ -454,11 +432,11 @@ class Worker {
  public:
   Worker(Comm& comm, int rank, const seq::Sequence& s,
          const seq::Scoring& scoring, const ClusterOptions& options,
-         align::Engine& engine, RecoveryStats& recovery)
+         align::Engine& engine, ClusterRunInfo& tally)
       : comm_(comm),
         rank_(rank),
         options_(options),
-        recovery_(recovery),
+        tally_(tally),
         sweep_(s, scoring, engine, /*checkpoints_per_sweep=*/0),
         triangle_(s.length()) {}
 
@@ -483,7 +461,7 @@ class Worker {
         if (comm_.fault_active() && !registered_ &&
             Clock::now() >= next_hello) {
           comm_.send(rank_, 0, {kReqWork, {}});
-          recovery_.bump(recovery_.retries);
+          ++tally_.retries;
           hello_backoff = next_backoff(hello_backoff, options_.ft);
           next_hello = Clock::now() + hello_backoff;
         }
@@ -581,7 +559,7 @@ class Worker {
   /// Blocks until the replica reaches `target`, requesting cumulative sync
   /// state from the master with timeout + exponential backoff.
   void sync_to(int target) {
-    recovery_.bump(recovery_.sync_requests);
+    ++tally_.sync_requests;
     for (auto backoff = milliseconds(options_.ft.row_timeout_ms);;
          backoff = next_backoff(backoff, options_.ft)) {
       comm_.send(rank_, 0, {kSyncRequest, {target}});
@@ -590,7 +568,7 @@ class Worker {
                       [&] { return version_ >= target; }))
         return;
       if (comm_.closed(0)) throw ShutdownSignal{};
-      recovery_.bump(recovery_.retries);
+      ++tally_.retries;
     }
   }
 
@@ -603,7 +581,7 @@ class Worker {
   const std::vector<std::int16_t>& rebuild_row(int r) {
     const auto it = owned_rows_.find(r);
     if (it != owned_rows_.end()) return it->second;
-    recovery_.bump(recovery_.row_rebuilds);
+    ++tally_.row_rebuilds;
     return owned_rows_.emplace(r, narrow(sweep_.recompute_original(r, 1, 0)))
         .first->second;
   }
@@ -636,7 +614,7 @@ class Worker {
       if (serve_until(Clock::now() + backoff, cached)) break;
       if (!comm_.fault_active() && !comm_.closed(owner)) continue;
       if (comm_.closed(0)) throw ShutdownSignal{};
-      recovery_.bump(recovery_.retries);
+      ++tally_.retries;
       backoff = next_backoff(backoff, options_.ft);
     }
     return row_cache_.at(r);
@@ -697,7 +675,7 @@ class Worker {
       // any consumer's request — and if the fault plan drops it, the owner
       // rebuilds on demand.
       comm_.send(rank_, owner, make_row_message(kRowDeposit, r, narrowed));
-      recovery_.bump(recovery_.deposits);
+      ++tally_.row_deposits;
     }
     row_cache_.emplace(r, std::move(narrowed));
   }
@@ -705,7 +683,7 @@ class Worker {
   Comm& comm_;
   int rank_;
   const ClusterOptions& options_;
-  RecoveryStats& recovery_;
+  ClusterRunInfo& tally_;  ///< this rank's counts; summed after the join
   core::GroupSweep sweep_;
   align::OverrideTriangle triangle_;
   int version_ = 0;
@@ -753,69 +731,49 @@ core::FinderResult find_top_alignments_cluster(const seq::Sequence& s,
     usage.emplace_back(*engines[static_cast<std::size_t>(w)]);
   }
 
-  RecoveryStats recovery;
+  // One tally per rank, each written only by its rank's thread and summed
+  // after the join, when stragglers (workers finishing superseded work during
+  // shutdown) have stopped sending and counting.
+  std::vector<ClusterRunInfo> tallies(static_cast<std::size_t>(options.ranks));
   Comm comm(options.ranks, options.fault_plan);
-  Master master(comm, s, scoring, options, lanes, recovery);
+  Master master(comm, s, scoring, options, lanes, tallies[0]);
   core::FinderResult result;
   run_ranks(comm, [&](int rank) {
+    const auto k = static_cast<std::size_t>(rank);
     if (rank == 0) {
       result = master.run();
     } else {
-      Worker worker(comm, rank, s, scoring, options,
-                    *engines[static_cast<std::size_t>(rank)], recovery);
+      Worker worker(comm, rank, s, scoring, options, *engines[k], tallies[k]);
       worker.run();
     }
   });
 
-  // Publish after the join: stragglers (workers finishing superseded work
-  // during shutdown) keep sending — and counting — until their bodies exit.
   for (const core::EngineUsage& u : usage) u.add_to(result.stats);
-  const auto load = [](const std::atomic<std::uint64_t>& c) {
-    return c.load(std::memory_order_relaxed);
-  };
   ClusterRunInfo run;
+  for (const ClusterRunInfo& t : tallies) obs::add(kClusterRunStats, run, t);
   run.messages = comm.messages_sent();
   run.payload_words = comm.words_sent();
-  run.row_replicas_served = master.replicas_served();
-  run.row_deposits = load(recovery.deposits);
   for (int rank = 0; rank < comm.size(); ++rank) {
     run.messages_by_rank.push_back(comm.messages_sent_from(rank));
     run.payload_words_by_rank.push_back(comm.words_sent_from(rank));
   }
   run.fault_stats = comm.fault_stats();
   run.faults_injected = run.fault_stats.injected();
-  run.retries = load(recovery.retries);
-  run.reassignments = load(recovery.reassignments);
-  run.heartbeat_misses = load(recovery.heartbeat_misses);
-  run.stale_results = load(recovery.stale_results);
-  run.row_rebuilds = load(recovery.row_rebuilds);
-  run.sync_requests = load(recovery.sync_requests);
-  run.workers_lost = load(recovery.workers_lost);
+  obs::publish(kClusterRunStats, run, "cluster.");
   if constexpr (obs::kEnabled) {
     auto& reg = obs::Registry::global();
-    reg.counter("cluster.messages").add(run.messages);
-    reg.counter("cluster.payload_words").add(run.payload_words);
-    reg.counter("cluster.row_replicas_served").add(run.row_replicas_served);
-    reg.counter("cluster.row_deposits").add(run.row_deposits);
     reg.counter("cluster.ranks").add(static_cast<std::uint64_t>(comm.size()));
-    reg.counter("cluster.faults_injected").add(run.faults_injected);
-    reg.counter("cluster.retries").add(run.retries);
-    reg.counter("cluster.reassignments").add(run.reassignments);
-    reg.counter("cluster.heartbeat_misses").add(run.heartbeat_misses);
-    reg.counter("cluster.stale_results").add(run.stale_results);
-    reg.counter("cluster.row_rebuilds").add(run.row_rebuilds);
-    reg.counter("cluster.sync_requests").add(run.sync_requests);
-    reg.counter("cluster.workers_lost").add(run.workers_lost);
     for (int rank = 0; rank < comm.size(); ++rank) {
-      const std::string suffix = ".rank" + std::to_string(rank);
+      const std::string suffix = std::to_string(rank);
       const auto k = static_cast<std::size_t>(rank);
-      reg.counter("cluster.messages" + suffix).add(run.messages_by_rank[k]);
-      reg.counter("cluster.payload_words" + suffix)
+      reg.counter("cluster.messages.rank" + suffix)
+          .add(run.messages_by_rank[k]);
+      reg.counter("cluster.payload_words.rank" + suffix)
           .add(run.payload_words_by_rank[k]);
     }
   }
   if (info != nullptr) *info = std::move(run);
-  core::publish_finder_stats(result.stats, s.length(), "cluster.");
+  core::publish_finder_stats(result.stats, "cluster.");
   return result;
 }
 

@@ -44,6 +44,7 @@
 #include "align/engine.hpp"
 #include "cluster/fault.hpp"
 #include "core/options.hpp"
+#include "obs/stats.hpp"
 #include "seq/scoring.hpp"
 #include "seq/sequence.hpp"
 
@@ -88,6 +89,9 @@ struct ClusterOptions {
   FaultToleranceOptions ft;
 };
 
+/// One cluster run's messaging and recovery numbers. Every counter is listed
+/// once in kClusterRunStats below, which names it for the registry and the
+/// --metrics-json report.
 struct ClusterRunInfo {
   std::uint64_t messages = 0;
   std::uint64_t payload_words = 0;
@@ -108,6 +112,24 @@ struct ClusterRunInfo {
   std::uint64_t sync_requests = 0;     ///< worker version resynchronisations
   std::uint64_t workers_lost = 0;      ///< ranks observed dead by the master
   FaultStats fault_stats;              ///< per-kind injection breakdown
+};
+
+/// ClusterRunInfo's published counters: each run adds them to the registry
+/// under "cluster.", and reprofind's --metrics-json reports their sums under
+/// "cluster_".
+inline constexpr obs::Stat<ClusterRunInfo> kClusterRunStats[] = {
+    {"messages", &ClusterRunInfo::messages},
+    {"payload_words", &ClusterRunInfo::payload_words},
+    {"row_replicas_served", &ClusterRunInfo::row_replicas_served},
+    {"row_deposits", &ClusterRunInfo::row_deposits},
+    {"faults_injected", &ClusterRunInfo::faults_injected},
+    {"retries", &ClusterRunInfo::retries},
+    {"reassignments", &ClusterRunInfo::reassignments},
+    {"heartbeat_misses", &ClusterRunInfo::heartbeat_misses},
+    {"stale_results", &ClusterRunInfo::stale_results},
+    {"row_rebuilds", &ClusterRunInfo::row_rebuilds},
+    {"sync_requests", &ClusterRunInfo::sync_requests},
+    {"workers_lost", &ClusterRunInfo::workers_lost},
 };
 
 core::FinderResult find_top_alignments_cluster(const seq::Sequence& s,

@@ -7,6 +7,7 @@
 
 #include "align/types.hpp"
 #include "core/top_alignment.hpp"
+#include "obs/stats.hpp"
 
 namespace repro::core {
 
@@ -58,19 +59,23 @@ struct FinderOptions {
   /// budget. The master/worker finder (ranks > 1) keeps no checkpoint cache
   /// and ignores it.
   std::size_t checkpoint_mem = std::size_t{256} << 20;  // 256 MiB
-  /// Checkpoint rows emitted per sweep: the grid stride is
-  /// ceil(rows / checkpoints_per_sweep); the row just above the group is
-  /// always emitted as well, so untouched groups resume at full depth.
-  int checkpoints_per_sweep = 16;
 };
 
+/// One run's numbers. Every member is listed once in kFinderStats below,
+/// which names it for the registry and the --metrics-json report.
 struct FinderStats {
   std::uint64_t first_alignments = 0;  ///< score-only alignments, empty triangle
   std::uint64_t realignments = 0;      ///< demanded re-alignments (stale member)
+  /// Realignments the exhaustive sweep would run: all m-1 rectangles for
+  /// each acceptance after the first (the baseline of §3's 90-97 %).
+  std::uint64_t exhaustive_realignments = 0;
   std::uint64_t speculative = 0;       ///< lane-mates recomputed while current
   std::uint64_t tracebacks = 0;        ///< accepted top alignments traced
   std::uint64_t queue_pops = 0;        ///< groups popped to sweep or accept
+  // The engines' own tallies over the run (see core::EngineUsage):
   std::uint64_t cells = 0;             ///< matrix lane-cells computed
+  std::uint64_t cells_skipped = 0;     ///< lane-cells restored from checkpoints
+  std::uint64_t group_alignments = 0;  ///< group sweeps the engines ran
   // Checkpoint-resume realignment cache (zero when disabled/unsupported):
   std::uint64_t ckpt_hits = 0;        ///< sweeps resumed from a checkpoint
   std::uint64_t ckpt_misses = 0;      ///< lookups that had to start at row 1
@@ -83,6 +88,7 @@ struct FinderStats {
   std::uint64_t i16_sweeps = 0;            ///< group sweeps run in i16 lanes
   std::uint64_t precision_escalations = 0; ///< u8 sweeps re-run at i16
   std::uint64_t profile_hits = 0;          ///< sweeps reusing a cached profile
+  std::uint64_t profile_builds = 0;        ///< query profiles (re)built
   /// Wall time inside realignment-phase sweeps (version > 0), summed over
   /// workers like idle_seconds.
   double realign_seconds = 0.0;
@@ -95,6 +101,36 @@ struct FinderStats {
   /// summed over workers (zero with one worker; the paper's §5.1
   /// speculation exists precisely to shrink this).
   double idle_seconds = 0.0;
+};
+
+/// FinderStats' published names: each run adds them to the registry under
+/// its prefix ("finder.", "parallel." or "cluster."; see
+/// publish_finder_stats), and reprofind's --metrics-json reports their sums.
+inline constexpr obs::Stat<FinderStats> kFinderStats[] = {
+    {"first_alignments", &FinderStats::first_alignments},
+    {"realignments", &FinderStats::realignments},
+    {"exhaustive_realignments", &FinderStats::exhaustive_realignments},
+    {"speculative", &FinderStats::speculative},
+    {"tracebacks", &FinderStats::tracebacks},
+    {"queue_pops", &FinderStats::queue_pops},
+    {"cells", &FinderStats::cells},
+    {"cells_skipped", &FinderStats::cells_skipped},
+    {"group_alignments", &FinderStats::group_alignments},
+    {"ckpt_hits", &FinderStats::ckpt_hits},
+    {"ckpt_misses", &FinderStats::ckpt_misses},
+    {"ckpt_evictions", &FinderStats::ckpt_evictions},
+    {"ckpt_rows_skipped", &FinderStats::rows_skipped},
+    {"ckpt_rows_swept", &FinderStats::rows_swept},
+    {"skipped_realignments", &FinderStats::skipped_realignments},
+    {"i8_sweeps", &FinderStats::i8_sweeps},
+    {"i16_sweeps", &FinderStats::i16_sweeps},
+    {"precision_escalations", &FinderStats::precision_escalations},
+    {"profile_hits", &FinderStats::profile_hits},
+    {"profile_builds", &FinderStats::profile_builds},
+    {"realign_seconds", &FinderStats::realign_seconds},
+    {"traceback_seconds", &FinderStats::traceback_seconds},
+    {"seconds", &FinderStats::seconds},
+    {"idle_seconds", &FinderStats::idle_seconds},
 };
 
 struct FinderResult {

@@ -42,6 +42,7 @@ std::optional<GroupQueue::Entry> GroupQueue::peek() const {
 
 BestFirstSearch::BestFirstSearch(int m, int lanes, const FinderOptions& options)
     : policy_(options.policy),
+      rectangles_(static_cast<std::uint64_t>(m - 1)),
       min_score_(options.min_score),
       num_tops_(options.num_top_alignments) {
   REPRO_CHECK_MSG(m >= 2, "sequence too short for top alignments");
@@ -163,6 +164,7 @@ void BestFirstSearch::accepted_head(const Head& head) {
                                  << last_accepted_ << ")");
   last_accepted_ = head.score;
   accepting_ = false;
+  if (version_ > 0) stats_.exhaustive_realignments += rectangles_;
   ++version_;
   ++stats_.tracebacks;
   queue_.push(head.group, group(head.group).key());

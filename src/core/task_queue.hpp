@@ -191,7 +191,8 @@ class BestFirstSearch {
   void accepted_head(const Head& head);
 
   /// The run's stats. The search writes first_alignments, realignments,
-  /// speculative, skipped_realignments and tracebacks; drivers add the rest.
+  /// exhaustive_realignments, speculative, skipped_realignments and
+  /// tracebacks; drivers add the rest.
   [[nodiscard]] FinderStats& stats() { return stats_; }
 
  private:
@@ -199,6 +200,7 @@ class BestFirstSearch {
   void end_flight(int gi);
 
   RescanPolicy policy_;
+  std::uint64_t rectangles_;  ///< m-1: one exhaustive sweep's realignments
   align::Score min_score_;
   int num_tops_;
   std::vector<GroupTask> groups_;

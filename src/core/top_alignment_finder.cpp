@@ -24,6 +24,11 @@
 namespace repro::core {
 namespace {
 
+/// Checkpoint rows each sweep stages for the cache: the grid stride is
+/// ceil(rows / kCheckpointsPerSweep), and the row just above the group is
+/// always staged as well, so untouched groups resume at full depth.
+constexpr int kCheckpointsPerSweep = 16;
+
 /// One worker's private state: its group sweep (engine, output rows,
 /// checkpoint sinks and resume copies) and its idle time.
 struct Worker {
@@ -58,13 +63,12 @@ class Scheduler {
       : s_(s),
         scoring_(scoring),
         options_(options),
-        m_(s.length()),
-        search_(m_, engines.front()->lanes(), options),
-        triangle_(m_) {
+        search_(s.length(), engines.front()->lanes(), options),
+        triangle_(s.length()) {
     REPRO_CHECK_MSG(&scoring.matrix.alphabet() == &s.alphabet(),
                     "scoring matrix alphabet does not match the sequence");
     if (options.memory == MemoryMode::kArchiveRows)
-      rows_.emplace(m_);  // otherwise: Appendix-A linear-memory mode
+      rows_.emplace(s.length());  // otherwise: Appendix-A linear-memory mode
     bool checkpoints = incremental();
     for (align::Engine* e : engines) {
       REPRO_CHECK_MSG(e->lanes() == engines.front()->lanes(),
@@ -72,8 +76,7 @@ class Scheduler {
       checkpoints = checkpoints && e->supports_checkpoints();
     }
     if (checkpoints) cache_.emplace(options.checkpoint_mem);
-    const int checkpoints_per_sweep =
-        cache_ ? std::max(1, options.checkpoints_per_sweep) : 0;
+    const int checkpoints_per_sweep = cache_ ? kCheckpointsPerSweep : 0;
     workers_.reserve(engines.size());
     for (align::Engine* e : engines)
       workers_.emplace_back(s, scoring, *e, checkpoints_per_sweep);
@@ -123,7 +126,7 @@ class Scheduler {
       reg.counter(key("queue.stale_skips")).add(search_.queue().stale_skips());
       reg.counter(key("threads")).add(workers_.size());
     }
-    publish_finder_stats(stats, m_, metrics_prefix);
+    publish_finder_stats(stats, metrics_prefix);
     FinderResult res;
     res.tops = std::move(tops_);
     res.stats = stats;
@@ -341,7 +344,6 @@ class Scheduler {
   const seq::Sequence& s_;
   const seq::Scoring& scoring_;
   const FinderOptions& options_;
-  int m_;
   BestFirstSearch search_;
   align::OverrideTriangle triangle_;
   std::optional<align::BottomRowStore> rows_;
@@ -402,71 +404,63 @@ template TopAlignment accept_alignment(const seq::Sequence&,
                                        std::span<const std::int16_t>, int,
                                        align::Score, TracebackMode);
 
-void EngineUsage::add_to(FinderStats& stats) const {
-  stats.cells += engine.cells_computed() - cells0;
+namespace {
+
+/// The engine's own tallies as FinderStats fields; every other field is 0.
+FinderStats engine_tally(const align::Engine& engine) {
+  FinderStats t;
+  t.cells = engine.cells_computed();
+  t.cells_skipped = engine.cells_skipped();
+  t.group_alignments = engine.alignments_performed();
   const align::PrecisionStats p = engine.precision_stats();
-  stats.i8_sweeps += p.i8_sweeps - precision0.i8_sweeps;
-  stats.i16_sweeps += p.i16_sweeps - precision0.i16_sweeps;
-  stats.precision_escalations += p.escalations - precision0.escalations;
-  stats.profile_hits += p.profile_hits - precision0.profile_hits;
+  t.i8_sweeps = p.i8_sweeps;
+  t.i16_sweeps = p.i16_sweeps;
+  t.precision_escalations = p.escalations;
+  t.profile_hits = p.profile_hits;
+  t.profile_builds = p.profile_builds;
+  return t;
 }
 
-void publish_finder_stats(const FinderStats& stats, int m,
-                          std::string_view prefix) {
-  if constexpr (!obs::kEnabled) {
-    (void)stats;
-    (void)m;
-    (void)prefix;
-    return;
-  }
-  auto& reg = obs::Registry::global();
-  const auto key = [&prefix](std::string_view name) {
-    std::string k(prefix);
-    k += name;
-    return k;
+}  // namespace
+
+EngineUsage::EngineUsage(const align::Engine& e)
+    : engine(e), start(engine_tally(e)) {}
+
+void EngineUsage::add_to(FinderStats& stats) const {
+  obs::add(kFinderStats, stats, engine_tally(engine), start);
+}
+
+std::vector<std::pair<std::string_view, double>> finder_ratios(
+    const FinderStats& stats) {
+  const auto pct = [](std::uint64_t part, std::uint64_t whole) {
+    return 100.0 * static_cast<double>(part) / static_cast<double>(whole);
   };
-  reg.counter(key("first_alignments")).add(stats.first_alignments);
-  reg.counter(key("realignments")).add(stats.realignments);
-  reg.counter(key("speculative")).add(stats.speculative);
-  reg.counter(key("tracebacks")).add(stats.tracebacks);
-  reg.counter(key("queue_pops")).add(stats.queue_pops);
-  reg.counter(key("cells")).add(stats.cells);
-  reg.counter(key("ckpt_hits")).add(stats.ckpt_hits);
-  reg.counter(key("ckpt_misses")).add(stats.ckpt_misses);
-  reg.counter(key("ckpt_evictions")).add(stats.ckpt_evictions);
-  reg.counter(key("ckpt_rows_skipped")).add(stats.rows_skipped);
-  reg.counter(key("ckpt_rows_swept")).add(stats.rows_swept);
-  reg.counter(key("skipped_realignments")).add(stats.skipped_realignments);
-  reg.counter(key("i8_sweeps")).add(stats.i8_sweeps);
-  reg.counter(key("i16_sweeps")).add(stats.i16_sweeps);
-  reg.counter(key("precision_escalations")).add(stats.precision_escalations);
-  reg.counter(key("profile_hits")).add(stats.profile_hits);
-  if (stats.realign_seconds > 0.0)
-    reg.timer(key("realign_seconds")).add_seconds(stats.realign_seconds);
-  if (stats.traceback_seconds > 0.0)
-    reg.timer(key("traceback_seconds")).add_seconds(stats.traceback_seconds);
-  if (stats.ckpt_hits + stats.ckpt_misses > 0)
-    reg.set_gauge(key("ckpt_hit_rate_pct"),
-                  100.0 * static_cast<double>(stats.ckpt_hits) /
-                      static_cast<double>(stats.ckpt_hits + stats.ckpt_misses));
+  std::vector<std::pair<std::string_view, double>> ratios;
+  const std::uint64_t lookups = stats.ckpt_hits + stats.ckpt_misses;
+  if (lookups > 0)
+    ratios.emplace_back("ckpt_hit_rate_pct", pct(stats.ckpt_hits, lookups));
   if (stats.rows_swept > 0)
-    reg.set_gauge(key("ckpt_rows_skipped_pct"),
-                  100.0 * static_cast<double>(stats.rows_skipped) /
-                      static_cast<double>(stats.rows_swept));
-  reg.timer(key("seconds")).add_seconds(stats.seconds);
-  if (stats.idle_seconds > 0.0)
-    reg.timer(key("idle_seconds")).add_seconds(stats.idle_seconds);
+    ratios.emplace_back("ckpt_rows_skipped_pct",
+                        pct(stats.rows_skipped, stats.rows_swept));
   if (stats.seconds > 0.0)
-    reg.set_gauge(key("cells_per_sec"),
-                  static_cast<double>(stats.cells) / stats.seconds);
-  if (stats.tracebacks >= 2 && m >= 2) {
-    // Exhaustive-sweep baseline: each of the tops-1 later acceptances would
-    // realign all m-1 rectangles (the first sweep is first-alignments).
-    const double sweep = static_cast<double>(stats.tracebacks - 1) *
-                         static_cast<double>(m - 1);
-    reg.set_gauge(key("realignments_avoided_pct"),
-                  100.0 * (1.0 - static_cast<double>(stats.realignments) /
-                                     sweep));
+    ratios.emplace_back("cells_per_sec",
+                        static_cast<double>(stats.cells) / stats.seconds);
+  if (stats.exhaustive_realignments > 0)
+    ratios.emplace_back(
+        "realignments_avoided_pct",
+        100.0 - pct(stats.realignments, stats.exhaustive_realignments));
+  return ratios;
+}
+
+void publish_finder_stats(const FinderStats& stats, std::string_view prefix) {
+  if constexpr (obs::kEnabled) {
+    auto& reg = obs::Registry::global();
+    obs::publish(kFinderStats, stats, prefix, reg);
+    // Gauges describe the same runs as the counters beside them: every run
+    // published under this prefix so far.
+    for (const auto& [name, value] :
+         finder_ratios(obs::published(kFinderStats, prefix, reg)))
+      reg.set_gauge(std::string(prefix) + std::string(name), value);
   }
 }
 

@@ -26,6 +26,8 @@
 
 #include <span>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "align/engine.hpp"
 #include "align/override_triangle.hpp"
@@ -73,29 +75,30 @@ TopAlignment accept_alignment(const seq::Sequence& s,
                               align::Score expected,
                               TracebackMode mode = TracebackMode::kFullMatrix);
 
-/// An engine's counters at the start of a run. Engines may be reused across
+/// An engine's tallies at the start of a run: cells, cells_skipped,
+/// group_alignments and the precision counters. Engines may be reused across
 /// runs (their query profile persists by design), so add_to() adds only the
-/// lane-cells and precision sweeps since the snapshot to a run's stats.
+/// growth since the snapshot to a run's stats.
 struct EngineUsage {
-  explicit EngineUsage(const align::Engine& e)
-      : engine(e),
-        cells0(e.cells_computed()),
-        precision0(e.precision_stats()) {}
+  explicit EngineUsage(const align::Engine& e);
   void add_to(FinderStats& stats) const;
 
   const align::Engine& engine;
-  std::uint64_t cells0;
-  align::PrecisionStats precision0;
+  FinderStats start;  ///< the engine's tallies as FinderStats fields
 };
 
+/// The derived percentages and rates of `stats` (one run, or the sum of
+/// several): ckpt_hit_rate_pct, ckpt_rows_skipped_pct, cells_per_sec and
+/// realignments_avoided_pct, the §3 claim measured against the
+/// exhaustive-sweep baseline. A ratio whose denominator is zero is left out.
+std::vector<std::pair<std::string_view, double>> finder_ratios(
+    const FinderStats& stats);
+
 /// Publishes a finished run's FinderStats to the global obs registry under
-/// `prefix` (e.g. "finder." / "parallel." / "cluster."): one counter per
-/// stat, a `<prefix>seconds` timer, a `<prefix>cells_per_sec` gauge, and —
-/// when at least two tops were accepted — `<prefix>realignments_avoided_pct`,
-/// the §3 claim measured against the exhaustive-sweep baseline of
-/// (tops-1)*(m-1) realignments. No-op when REPRO_OBS is off. Shared by the
-/// scheduler and the distributed finder.
-void publish_finder_stats(const FinderStats& stats, int m,
-                          std::string_view prefix);
+/// `prefix` (e.g. "finder." / "parallel." / "cluster."): every kFinderStats
+/// entry, plus finder_ratios() of all runs published under `prefix` so far
+/// as gauges. No-op when REPRO_OBS is off. Shared by the scheduler and the
+/// distributed finder.
+void publish_finder_stats(const FinderStats& stats, std::string_view prefix);
 
 }  // namespace repro::core

@@ -5,11 +5,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "align/engine.hpp"
+#include "cluster/master_worker.hpp"
+#include "core/options.hpp"
 #include "seq/scoring.hpp"
 
 #ifndef REPRO_CLI_PATH
@@ -355,6 +359,82 @@ TEST(Cli, MetricsJsonWritesPerfRecord) {
   const auto open_braces = std::count(doc.begin(), doc.end(), '{');
   const auto close_braces = std::count(doc.begin(), doc.end(), '}');
   EXPECT_EQ(open_braces, close_braces);
+}
+
+/// Runs `find` on `fasta` with `flags` and returns the --metrics-json
+/// document.
+std::string find_metrics(const std::string& fasta, const std::string& flags) {
+  const std::string path = fasta + ".metrics.json";
+  std::filesystem::remove(path);
+  const RunResult r = run_cli("find --fasta " + fasta + " --tops 4 " + flags +
+                              " --metrics-json " + path);
+  EXPECT_EQ(r.status, 0) << r.out;
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// The number reported as `key` in the document's top-level `section`
+/// ("metrics" or "counters"), or nothing when it is not reported.
+std::optional<double> reported(const std::string& doc,
+                               const std::string& section,
+                               std::string_view key) {
+  const auto quoted = [](std::string_view name) {
+    std::string q(1, '"');
+    q += name;
+    q += "\":";
+    return q;
+  };
+  const std::size_t begin = doc.find(quoted(section) + '{');
+  if (begin == std::string::npos) return std::nullopt;
+  const std::string body = doc.substr(begin, doc.find('}', begin) - begin);
+  const std::string needle = quoted(key);
+  const std::size_t at = body.find(needle);
+  if (at == std::string::npos) return std::nullopt;
+  return std::stod(body.substr(at + needle.size()));
+}
+
+TEST(Cli, MetricsJsonReportsTheSumOfEveryListedStat) {
+  // One FASTA per record and one with both: the two-record run reports the
+  // sum of the single-record runs for every count of the run's stats list,
+  // and reports every duration of it.
+  const std::string base = temp_fasta();
+  std::string both;
+  std::vector<std::string> docs;
+  for (const char* seed : {"5", "6"}) {
+    const std::string fasta = base + "." + seed + ".fa";
+    ASSERT_EQ(run_cli("generate --kind titin --length 220 --seed " +
+                      std::string(seed) + " --out " + fasta)
+                  .status, 0);
+    std::ifstream in(fasta);
+    std::ostringstream text;
+    text << in.rdbuf();
+    both += text.str();
+    docs.push_back(find_metrics(fasta, "--threads 1"));
+  }
+  {
+    std::ofstream out(base);
+    out << both;
+  }
+  const std::string sum = find_metrics(base, "--threads 1");
+  for (const auto& stat : repro::core::kFinderStats) {
+    if (stat.count != nullptr) {
+      const auto total = reported(sum, "counters", stat.name);
+      ASSERT_TRUE(total.has_value()) << stat.name << "\n" << sum;
+      EXPECT_EQ(*total, *reported(docs[0], "counters", stat.name) +
+                            *reported(docs[1], "counters", stat.name))
+          << stat.name;
+    } else {
+      EXPECT_GE(reported(sum, "metrics", stat.name).value_or(-1.0), 0.0)
+          << stat.name << "\n" << sum;
+    }
+  }
+  const std::string cluster = find_metrics(base, "--ranks 3");
+  for (const auto& stat : repro::cluster::kClusterRunStats)
+    EXPECT_TRUE(reported(cluster, "counters",
+                             std::string("cluster_").append(stat.name)))
+        << stat.name << "\n" << cluster;
 }
 
 }  // namespace

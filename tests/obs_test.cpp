@@ -8,9 +8,12 @@
 #include <vector>
 
 #include "align/engine.hpp"
+#include "cluster/master_worker.hpp"
 #include "core/top_alignment_finder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "obs/stats.hpp"
+#include "parallel/parallel_finder.hpp"
 #include "seq/generator.hpp"
 #include "util/json.hpp"
 
@@ -207,8 +210,10 @@ TEST(Integration, FinderRunPopulatesGlobalRegistry) {
   EXPECT_EQ(snap.counters.at("finder.first_alignments"),
             res.stats.first_alignments);
   EXPECT_EQ(snap.counters.at("finder.tracebacks"), res.stats.tracebacks);
-  // The engine's own accounting must agree with the finder's.
-  EXPECT_EQ(snap.counters.at("align.lane_cells"), res.stats.cells);
+  // The engines publish nothing themselves: their tallies reach the
+  // registry once, as the run's own counters.
+  for (const auto& [name, value] : snap.counters)
+    EXPECT_NE(name.rfind("align.", 0), 0u) << name << " = " << value;
   EXPECT_GT(snap.counters.at("finder.queue.pushes"), 0u);
   // The acceptances' wall time, published once from the run's stats.
   EXPECT_GT(res.stats.traceback_seconds, 0.0);
@@ -217,6 +222,117 @@ TEST(Integration, FinderRunPopulatesGlobalRegistry) {
   std::set<std::string> span_names;
   for (const auto& span : snap.spans) span_names.insert(span.name);
   EXPECT_TRUE(span_names.count("finder.run")) << "finder.run span missing";
+}
+
+// Every number of a run's stats lists reaches the registry once, as the
+// value the run returned.
+template <class Record, std::size_t N>
+void expect_registry_holds(const Stat<Record> (&list)[N], const Record& record,
+                           const std::string& prefix) {
+  const auto snap = Registry::global().snapshot();
+  for (const Stat<Record>& s : list) {
+    const std::string key = prefix + std::string(s.name);
+    if (s.count != nullptr) {
+      ASSERT_TRUE(snap.counters.count(key)) << key;
+      EXPECT_EQ(snap.counters.at(key), record.*s.count) << key;
+    } else {
+      ASSERT_TRUE(snap.timers_sec.count(key)) << key;
+      EXPECT_NEAR(snap.timers_sec.at(key), record.*s.seconds, 1e-6) << key;
+    }
+  }
+  for (const auto& [name, value] : snap.counters)
+    EXPECT_NE(name.rfind("align.", 0), 0u) << name << " = " << value;
+}
+
+class RegistryStatsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if constexpr (!kEnabled) GTEST_SKIP() << "REPRO_OBS=OFF build";
+    Registry::global().reset();
+    opt_.num_top_alignments = 6;
+  }
+
+  const seq::GeneratedSequence g_ = seq::synthetic_titin(240, 19);
+  const seq::Scoring scoring_ = seq::Scoring::protein_default();
+  core::FinderOptions opt_;
+};
+
+TEST_F(RegistryStatsTest, OneThread) {
+  const auto engine = align::make_best_engine();
+  const auto res =
+      core::find_top_alignments(g_.sequence, scoring_, opt_, *engine);
+  EXPECT_GT(res.stats.group_alignments, 0u);
+  EXPECT_GT(res.stats.profile_builds, 0u);
+  expect_registry_holds(core::kFinderStats, res.stats, "finder.");
+}
+
+TEST_F(RegistryStatsTest, ThreeThreads) {
+  parallel::ParallelOptions popt;
+  popt.threads = 3;
+  popt.finder = opt_;
+  const auto res = parallel::find_top_alignments_parallel(
+      g_.sequence, scoring_, popt,
+      align::engine_factory(align::EngineKind::kSimdAuto));
+  expect_registry_holds(core::kFinderStats, res.stats, "parallel.");
+}
+
+TEST_F(RegistryStatsTest, ThreeRanks) {
+  cluster::ClusterOptions copt;
+  copt.ranks = 3;
+  copt.finder = opt_;
+  cluster::ClusterRunInfo info;
+  const auto res = cluster::find_top_alignments_cluster(
+      g_.sequence, scoring_, copt,
+      align::engine_factory(align::EngineKind::kSimdAuto), &info);
+  EXPECT_GT(info.messages, 0u);
+  expect_registry_holds(core::kFinderStats, res.stats, "cluster.");
+  expect_registry_holds(cluster::kClusterRunStats, info, "cluster.");
+}
+
+// The gauges beside a prefix's counters describe the same runs: every run
+// published under it, not only the last. Two runs, the checkpoint cache on
+// and then off, so the second run alone would give different ratios.
+TEST(Integration, GaugesAreRatiosOfTheirCounters) {
+  if constexpr (!kEnabled) GTEST_SKIP() << "REPRO_OBS=OFF build";
+  Registry::global().reset();
+  const auto g = seq::synthetic_titin(260, 22);
+  const auto scoring = seq::Scoring::protein_default();
+  const auto engine = align::make_best_engine();
+  core::FinderOptions opt;
+  opt.num_top_alignments = 8;
+  core::FinderStats sum;
+  std::uint64_t exhaustive = 0;  // (tops - 1)(m - 1) per run
+  for (const std::size_t budget : {core::FinderOptions{}.checkpoint_mem,
+                                   std::size_t{0}}) {
+    opt.checkpoint_mem = budget;
+    const auto res =
+        core::find_top_alignments(g.sequence, scoring, opt, *engine);
+    add(core::kFinderStats, sum, res.stats);
+    exhaustive += (res.tops.size() - 1) * (260 - 1);
+  }
+  ASSERT_GT(sum.rows_skipped, 0u);  // the cached run resumed rows
+
+  const auto snap = Registry::global().snapshot();
+  const auto count = [&snap](const char* name) {
+    return static_cast<double>(snap.counters.at(std::string("finder.") + name));
+  };
+  const auto gauge = [&snap](const char* name) {
+    return snap.gauges.at(std::string("finder.") + name);
+  };
+  EXPECT_DOUBLE_EQ(
+      gauge("ckpt_rows_skipped_pct"),
+      100.0 * count("ckpt_rows_skipped") / count("ckpt_rows_swept"));
+  EXPECT_DOUBLE_EQ(gauge("ckpt_hit_rate_pct"),
+                   100.0 * count("ckpt_hits") /
+                       (count("ckpt_hits") + count("ckpt_misses")));
+  EXPECT_DOUBLE_EQ(gauge("realignments_avoided_pct"),
+                   100.0 - 100.0 * count("realignments") /
+                               count("exhaustive_realignments"));
+  EXPECT_DOUBLE_EQ(gauge("cells_per_sec"),
+                   count("cells") / snap.timers_sec.at("finder.seconds"));
+  // The registry's sums are the runs' sums.
+  EXPECT_EQ(count("ckpt_rows_skipped"), static_cast<double>(sum.rows_skipped));
+  EXPECT_EQ(count("exhaustive_realignments"), static_cast<double>(exhaustive));
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-// Shared-memory finder (§4.2): identical results for every thread count,
-// determinism across repeats, and the thread pool itself.
+// Shared-memory finder (§4.2): identical results for every thread count and
+// determinism across repeats.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -10,7 +9,6 @@
 #include "core/top_alignment_finder.hpp"
 #include "core/verify.hpp"
 #include "parallel/parallel_finder.hpp"
-#include "parallel/thread_pool.hpp"
 #include "seq/generator.hpp"
 
 namespace repro::parallel {
@@ -18,60 +16,6 @@ namespace {
 
 using core::FinderOptions;
 using seq::Scoring;
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 20; ++i)
-    futures.push_back(pool.submit([&counter] { counter.fetch_add(1); }));
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 20);
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ParallelForCoversRange) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(100, [&hits](int i) { hits[static_cast<std::size_t>(i)]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForPropagatesTaskException) {
-  ThreadPool pool(4);
-  try {
-    pool.parallel_for(64, [](int i) {
-      if (i % 7 == 0) throw std::runtime_error("task failed");
-    });
-    FAIL() << "expected the task exception to propagate";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "task failed");
-  }
-}
-
-TEST(ThreadPool, ParallelForDrainsAllWorkersBeforeThrowing) {
-  // parallel_for's loop state lives on the caller's stack; every worker
-  // future must be awaited before the exception escapes, or the pool would
-  // race on dead stack frames. Observable contract: the pool is immediately
-  // reusable and later runs see no leftover work.
-  ThreadPool pool(4);
-  for (int round = 0; round < 5; ++round) {
-    EXPECT_THROW(
-        pool.parallel_for(64,
-                          [](int i) {
-                            if (i == 3) throw std::runtime_error("boom");
-                          }),
-        std::runtime_error);
-    std::atomic<int> covered{0};
-    pool.parallel_for(50, [&covered](int) { covered.fetch_add(1); });
-    EXPECT_EQ(covered.load(), 50);
-  }
-}
 
 class ParallelFinderTest : public ::testing::TestWithParam<int> {};
 

@@ -33,17 +33,20 @@ one-lane-ops          the saturating/max intrinsics (_mm*_adds_*,
 no-raw-new-delete     no raw new / delete expressions in src/ (containers,
                       unique_ptr and the aligned allocator cover every need);
                       `= delete` declarations are fine.
-metrics-naming        string literals fed to counter()/timer()/set_gauge()
-                      (and the finder key() helpers) must match the
-                      repro-metrics-v1 grammar
+metrics-naming        metric-name literals in src/ — fed to counter()/
+                      timer()/set_gauge() (and the finder key() helpers), or
+                      named by a run-stats list entry {"name", &Record::m} —
+                      must match the repro-metrics-v1 grammar
                       [a-z][a-z0-9_]*(\\.[a-z][a-z0-9_]*)* — a trailing '.'
                       marks a prefix literal completed at runtime.
-metrics-registry      metric literals under the cluster./vcluster./align.
-                      namespaces must appear in CLUSTER_METRIC_NAMES /
-                      ALIGN_METRIC_NAMES: the grammar accepts any
-                      well-formed name, so a typo'd counter would silently
-                      fork a new time series. Add new names to the registry
-                      alongside the code.
+one-metric-writer     each metric name is written at exactly one site in
+                      src/. key() literals and run-stats list entries are
+                      written under every run prefix (a bare "finder." /
+                      "parallel." / "cluster." literal in src/), and a
+                      literal followed by `+` stands for all its runtime
+                      suffixes. So a second writer of a name — say a
+                      counter("cluster.x") beside the cluster list's entry
+                      "x", or two list entries "x" — is flagged.
 one-search-core       src/ files outside src/core/ may not name GroupQueue,
                       pop_best_if or std::multiset<TaskKey, nor define a
                       TaskKey comparator: every finder drives the one
@@ -110,50 +113,11 @@ LOCK_TOKENS = re.compile(
 
 METRIC_NAME = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*\.?$")
 
-# Known-names registry for the cluster namespaces (metrics-registry rule).
-# Runtime-suffixed per-rank variants (cluster.messages.rank3, ...) share
-# their base literal; a bare "cluster." / "vcluster." literal is a prefix
-# completed at runtime and is exempt.
-CLUSTER_METRIC_NAMES = {
-    "cluster.messages",
-    "cluster.payload_words",
-    "cluster.row_replicas_served",
-    "cluster.row_deposits",
-    "cluster.ranks",
-    "cluster.faults_injected",
-    "cluster.retries",
-    "cluster.reassignments",
-    "cluster.heartbeat_misses",
-    "cluster.stale_results",
-    "cluster.row_rebuilds",
-    "cluster.sync_requests",
-    "cluster.workers_lost",
-    "vcluster.runs",
-    "vcluster.assignments",
-    "vcluster.row_replica_bytes",
-    "vcluster.comm_messages_modelled",
-    "vcluster.comm_seconds_modelled",
-    "vcluster.reassignments",
-    "vcluster.workers_lost",
-    "vcluster.worker_busy_fraction",
-    "vcluster.makespan_sec",
-}
-
-# Known-names registry for the align. namespace (kernel + adaptive-precision
-# counters emitted by the engines themselves).
-ALIGN_METRIC_NAMES = {
-    "align.lane_cells",
-    "align.group_alignments",
-    "align.lane_cells_skipped",
-    "align.precision.i8_sweeps",
-    "align.precision.i16_sweeps",
-    "align.precision.escalations",
-    "align.precision.profile_hits",
-    "align.precision.profile_builds",
-}
-REGISTERED_METRIC_NAMES = CLUSTER_METRIC_NAMES | ALIGN_METRIC_NAMES
-METRIC_CALL = re.compile(r"\b(?:counter|timer|set_gauge)\(\s*\"([^\"]*)\"")
-METRIC_KEY_CALL = re.compile(r"\bkey\(\s*\"([^\"]*)\"")
+METRIC_CALL = re.compile(
+    r"\b(counter|timer|set_gauge|key)\(\s*\"([^\"]*)\"(\s*\)?\s*\+)?")
+STAT_ENTRY = re.compile(r"\{\s*\"([^\"]*)\"\s*,\s*&\w+::\w+\s*\}")
+RUN_PREFIX = re.compile(r"\"([a-z][a-z0-9_]*\.)\"")
+RUN = "<run>."  # stands for every run prefix
 
 NOLINT_OK = re.compile(r"NOLINT(?:NEXTLINE)?\([\w.,\- ]+\):\s*\S")
 NOLINT_ANY = re.compile(r"NOLINT")
@@ -176,9 +140,9 @@ def allowed(raw_line: str, rule: str) -> bool:
     return bool(m) and m.group(1) == rule
 
 
-def strip_comments_and_strings(text: str) -> str:
-    """Blanks out comments and string/char literals, preserving line breaks
-    so reported line numbers stay valid."""
+def strip_comments_and_strings(text: str, keep_strings: bool = False) -> str:
+    """Blanks out comments and (unless keep_strings) string/char literals,
+    preserving line breaks so reported line numbers stay valid."""
     out: list[str] = []
     i, n = 0, len(text)
     state = "code"  # code | line | block | str | chr
@@ -196,14 +160,9 @@ def strip_comments_and_strings(text: str) -> str:
                 out.append("  ")
                 i += 2
                 continue
-            if c == '"':
-                state = "str"
-                out.append(" ")
-                i += 1
-                continue
-            if c == "'":
-                state = "chr"
-                out.append(" ")
+            if c in "\"'":
+                state = "str" if c == '"' else "chr"
+                out.append(c if keep_strings else " ")
                 i += 1
                 continue
             out.append(c)
@@ -223,12 +182,12 @@ def strip_comments_and_strings(text: str) -> str:
         else:  # str / chr
             quote = '"' if state == "str" else "'"
             if c == "\\":
-                out.append("  ")
+                out.append(text[i:i + 2] if keep_strings else "  ")
                 i += 2
                 continue
             if c == quote:
                 state = "code"
-            out.append(" " if c != "\n" else c)
+            out.append(c if keep_strings or c == "\n" else " ")
         i += 1
     return "".join(out)
 
@@ -359,30 +318,61 @@ def check_raw_new_delete() -> None:
                 fail(path, no, "no-raw-new-delete", "raw delete expression")
 
 
-def check_metrics_naming() -> None:
+def metric_literals():
+    """Yields (path, line_no, raw_line, literal, written_name) for every
+    metric-name literal in src/ outside comments. written_name is the full
+    name the site writes: RUN + literal for key() and run-stats list entries,
+    and a trailing '*' for a literal completed by `+` at runtime."""
     for path in glob_files(["src/**/*.cpp", "src/**/*.hpp"]):
         text = path.read_text()
-        lines = text.splitlines()
-        for no, line in enumerate(lines, start=1):
-            names = METRIC_CALL.findall(line)
-            # key("...") helpers build metric names only in the finder layers.
-            if "core/" in str(path) or "parallel/" in str(path):
-                names += METRIC_KEY_CALL.findall(line)
-            for name in names:
-                if allowed(line, "metrics-naming"):
+        raw = text.splitlines()
+        code = strip_comments_and_strings(text, keep_strings=True).splitlines()
+        # key("...") helpers build metric names only in the finder layers.
+        finder_layer = path.relative_to(ROOT).parts[1] in {"core", "parallel"}
+        for no, (raw_line, line) in enumerate(zip(raw, code), start=1):
+            for call, lit, plus in METRIC_CALL.findall(line):
+                if call == "key" and not finder_layer:
                     continue
-                if not METRIC_NAME.match(name):
-                    fail(path, no, "metrics-naming",
-                         f'metric name "{name}" violates repro-metrics-v1 '
-                         "([a-z][a-z0-9_]* dot-separated segments)")
-                elif (re.match(r"^(v?cluster|align)\.", name)
-                      and not name.endswith(".")
-                      and name not in REGISTERED_METRIC_NAMES
-                      and not allowed(line, "metrics-registry")):
-                    fail(path, no, "metrics-registry",
-                         f'metric name "{name}" is not in the '
-                         "CLUSTER_METRIC_NAMES / ALIGN_METRIC_NAMES registry "
-                         "(tools/repro_lint.py) — add it there or fix the typo")
+                name = (RUN if call == "key" else "") + lit + ("*" if plus else "")
+                yield path, no, raw_line, lit, name
+            for lit in STAT_ENTRY.findall(line):
+                yield path, no, raw_line, lit, RUN + lit
+
+
+def check_metrics_naming() -> None:
+    for path, no, line, lit, _ in metric_literals():
+        if not METRIC_NAME.match(lit) and not allowed(line, "metrics-naming"):
+            fail(path, no, "metrics-naming",
+                 f'metric name "{lit}" violates repro-metrics-v1 '
+                 "([a-z][a-z0-9_]* dot-separated segments)")
+
+
+def check_one_metric_writer() -> None:
+    prefixes: set[str] = set()
+    for path in glob_files(["src/**/*.cpp", "src/**/*.hpp"]):
+        code = strip_comments_and_strings(path.read_text(), keep_strings=True)
+        prefixes.update(RUN_PREFIX.findall(code))
+    writers: dict[str, list[tuple[Path, int, str]]] = {}
+    for path, no, line, lit, name in metric_literals():
+        if lit.endswith(".") or allowed(line, "one-metric-writer"):
+            continue  # a prefix literal, completed at runtime
+        names = ([p + name[len(RUN):] for p in sorted(prefixes)]
+                 if name.startswith(RUN) else [name])
+        for full in names:
+            writers.setdefault(full, []).append((path, no, lit))
+    flagged: set[tuple[Path, int]] = set()
+    for full, sites in sorted(writers.items()):
+        if len({(p, n) for p, n, _ in sites}) < 2:
+            continue
+        for path, no, lit in sites:
+            if (path, no) in flagged:
+                continue
+            flagged.add((path, no))
+            others = ", ".join(f"{p.relative_to(ROOT)}:{n}" for p, n, _ in sites
+                               if (p, n) != (path, no))
+            fail(path, no, "one-metric-writer",
+                 f'metric "{full}" (literal "{lit}") is also written at '
+                 f"{others}: each number has one writer")
 
 
 SEARCH_CORE_TOKENS = re.compile(
@@ -491,6 +481,7 @@ def main() -> int:
     check_one_lane_ops()
     check_raw_new_delete()
     check_metrics_naming()
+    check_one_metric_writer()
     check_one_search_core()
     check_one_checkpoint_cache()
     check_one_group_sweep()

@@ -21,6 +21,7 @@
 #include "core/top_alignment_finder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "obs/stats.hpp"
 #include "parallel/parallel_finder.hpp"
 #include "seq/fasta.hpp"
 #include "seq/generator.hpp"
@@ -277,18 +278,7 @@ int cmd_find(int argc, char** argv) {
       cluster::ClusterRunInfo info;
       res = cluster::find_top_alignments_cluster(record, scoring, copt, factory,
                                                  &info);
-      cluster_total.messages += info.messages;
-      cluster_total.payload_words += info.payload_words;
-      cluster_total.row_replicas_served += info.row_replicas_served;
-      cluster_total.row_deposits += info.row_deposits;
-      cluster_total.faults_injected += info.faults_injected;
-      cluster_total.retries += info.retries;
-      cluster_total.reassignments += info.reassignments;
-      cluster_total.heartbeat_misses += info.heartbeat_misses;
-      cluster_total.stale_results += info.stale_results;
-      cluster_total.row_rebuilds += info.row_rebuilds;
-      cluster_total.sync_requests += info.sync_requests;
-      cluster_total.workers_lost += info.workers_lost;
+      obs::add(cluster::kClusterRunStats, cluster_total, info);
     } else if (threads > 1) {
       parallel::ParallelOptions popt;
       popt.threads = threads;
@@ -299,25 +289,7 @@ int cmd_find(int argc, char** argv) {
       const auto engine = align::make_engine(kind);
       res = core::find_top_alignments(record, scoring, opt, *engine);
     }
-    total_stats.first_alignments += res.stats.first_alignments;
-    total_stats.realignments += res.stats.realignments;
-    total_stats.speculative += res.stats.speculative;
-    total_stats.tracebacks += res.stats.tracebacks;
-    total_stats.queue_pops += res.stats.queue_pops;
-    total_stats.cells += res.stats.cells;
-    total_stats.ckpt_hits += res.stats.ckpt_hits;
-    total_stats.ckpt_misses += res.stats.ckpt_misses;
-    total_stats.ckpt_evictions += res.stats.ckpt_evictions;
-    total_stats.rows_skipped += res.stats.rows_skipped;
-    total_stats.rows_swept += res.stats.rows_swept;
-    total_stats.skipped_realignments += res.stats.skipped_realignments;
-    total_stats.i8_sweeps += res.stats.i8_sweeps;
-    total_stats.i16_sweeps += res.stats.i16_sweeps;
-    total_stats.precision_escalations += res.stats.precision_escalations;
-    total_stats.profile_hits += res.stats.profile_hits;
-    total_stats.realign_seconds += res.stats.realign_seconds;
-    total_stats.seconds += res.stats.seconds;
-    total_stats.idle_seconds += res.stats.idle_seconds;
+    obs::add(core::kFinderStats, total_stats, res.stats);
     total_tops += res.tops.size();
 
     std::vector<core::RepeatRegion> regions;
@@ -353,49 +325,14 @@ int cmd_find(int argc, char** argv) {
       report.param("row_storage", row_storage_name);
       if (!copt.fault_plan.empty())
         report.param("fault_plan", copt.fault_plan.to_string());
-      report.counter("cluster_messages", cluster_total.messages);
-      report.counter("cluster_payload_words", cluster_total.payload_words);
-      report.counter("cluster_row_replicas_served",
-                     cluster_total.row_replicas_served);
-      report.counter("cluster_row_deposits", cluster_total.row_deposits);
-      report.counter("cluster_faults_injected", cluster_total.faults_injected);
-      report.counter("cluster_retries", cluster_total.retries);
-      report.counter("cluster_reassignments", cluster_total.reassignments);
-      report.counter("cluster_heartbeat_misses",
-                     cluster_total.heartbeat_misses);
-      report.counter("cluster_stale_results", cluster_total.stale_results);
-      report.counter("cluster_row_rebuilds", cluster_total.row_rebuilds);
-      report.counter("cluster_sync_requests", cluster_total.sync_requests);
-      report.counter("cluster_workers_lost", cluster_total.workers_lost);
+      obs::report(cluster::kClusterRunStats, cluster_total, report, "cluster_");
     }
     report.param("tops_requested", opt.num_top_alignments);
     report.param("sequences", static_cast<std::int64_t>(records.size()));
-    report.metric("seconds", total_stats.seconds);
-    if (total_stats.seconds > 0.0)
-      report.metric("cells_per_sec", static_cast<double>(total_stats.cells) /
-                                         total_stats.seconds);
-    report.counter("cells", total_stats.cells);
-    report.counter("first_alignments", total_stats.first_alignments);
-    report.counter("realignments", total_stats.realignments);
-    report.counter("speculative", total_stats.speculative);
-    report.counter("tracebacks", total_stats.tracebacks);
-    report.counter("queue_pops", total_stats.queue_pops);
+    obs::report(core::kFinderStats, total_stats, report);
     report.counter("tops_found", total_tops);
-    report.counter("ckpt_hits", total_stats.ckpt_hits);
-    report.counter("ckpt_misses", total_stats.ckpt_misses);
-    report.counter("ckpt_evictions", total_stats.ckpt_evictions);
-    report.counter("ckpt_rows_skipped", total_stats.rows_skipped);
-    report.counter("ckpt_rows_swept", total_stats.rows_swept);
-    report.counter("skipped_realignments", total_stats.skipped_realignments);
-    report.counter("i8_sweeps", total_stats.i8_sweeps);
-    report.counter("i16_sweeps", total_stats.i16_sweeps);
-    report.counter("precision_escalations", total_stats.precision_escalations);
-    report.counter("profile_hits", total_stats.profile_hits);
-    report.metric("realign_seconds", total_stats.realign_seconds);
-    if (total_stats.rows_swept > 0)
-      report.metric("ckpt_rows_skipped_pct",
-                    100.0 * static_cast<double>(total_stats.rows_skipped) /
-                        static_cast<double>(total_stats.rows_swept));
+    for (const auto& [name, value] : core::finder_ratios(total_stats))
+      report.metric(name, value);
     report.include_registry(obs::Registry::global());
     report.write_file(metrics_path);
   }
